@@ -21,10 +21,12 @@ from .engine import run_partitioned
 from .errors import (
     BudgetExceeded,
     CheckpointCorrupt,
+    CheckpointUnwritable,
     InvalidRank,
     InvalidWindow,
     NoPrediction,
     OutOfStatedRange,
+    PartOutOfRange,
     SystemMismatch,
     TypeMismatch,
     UnsupportedProfile,
@@ -133,8 +135,20 @@ def _parse_parts(text: str | None) -> list[int] | None:
         raise InvalidRank(f"bad --parts list {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _cmd_gf(args, parser) -> int:
     ct = _resolve_type(args, parser)
+    if args.resume and args.checkpoint is None:
+        parser.error("--resume needs --checkpoint")
     parts = _parse_parts(args.parts)
     use_engine = (
         args.threads > 1
@@ -183,13 +197,20 @@ def _cmd_gf(args, parser) -> int:
 
 
 def _suite_for(args, parser):
-    if not args.type:
+    spec = args.type
+    if args.family or args.rank is not None:
+        if args.type:
+            parser.error("give either --type or --family/--rank, not both")
+        if not args.family:
+            parser.error("--rank needs --family")
+        spec = args.family + ("" if args.rank is None else str(args.rank))
+    if not spec:
         return verification_suite(
             max_n=args.max_n,
             multivariate_max_n=min(args.max_n, 6),
             include_printed_form=args.printed_form,
         )
-    t = args.type.strip().upper()
+    t = spec.strip().upper()
     if len(t) == 1:
         if t not in "ABCD":
             parser.error("family-wide verify supports A, B, C, D; exceptional "
@@ -245,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gf.add_argument("--profile", default="odd-length")
     p_gf.add_argument("--restrict", default="full",
                       choices=("full", "unimodal", "chessboard", "good-chessboard"))
-    p_gf.add_argument("--threads", type=int, default=1)
+    p_gf.add_argument("--threads", type=_positive_int, default=1)
     p_gf.add_argument("--checkpoint", help="checkpoint file path")
     p_gf.add_argument("--resume", action="store_true",
                       help="pick up completed parts from --checkpoint")
@@ -277,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (CheckpointCorrupt, WorkerFailure) as exc:
+    except (CheckpointCorrupt, CheckpointUnwritable, WorkerFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (
@@ -285,6 +306,7 @@ def main(argv: list[str] | None = None) -> int:
         InvalidWindow,
         NoPrediction,
         OutOfStatedRange,
+        PartOutOfRange,
         SystemMismatch,
         TypeMismatch,
         UnsupportedProfile,

@@ -71,3 +71,11 @@ class CheckpointCorrupt(OddLengthError):
 
 class WorkerFailure(OddLengthError):
     """A partition worker failed repeatedly."""
+
+
+class PartOutOfRange(OddLengthError, ValueError):
+    """Part index outside the partition of the requested group."""
+
+
+class CheckpointUnwritable(OddLengthError):
+    """Checkpoint path lies in a directory that cannot be written."""

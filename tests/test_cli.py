@@ -161,3 +161,39 @@ def test_gf_text_mentions_prediction(capsys):
 
 def test_unknown_subcommand(capsys):
     assert run(capsys, "frobnicate")[0] == 2
+
+
+def test_gf_part_out_of_range_is_usage_error(capsys):
+    code, out, err = run(capsys, "gf", "--type", "E6", "--parts", "999")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_gf_unwritable_checkpoint_exits_3(capsys, monkeypatch, tmp_path):
+    import oddlength.engine as engine
+
+    def no_build(system):
+        raise AssertionError("a part was started before the checkpoint was checked")
+
+    monkeypatch.setattr(engine._Split, "build", no_build)
+    missing = str(tmp_path / "missing" / "x.ckpt")
+    code, _, err = run(capsys, "gf", "--type", "E6", "--checkpoint", missing)
+    assert code == 3
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_gf_rejects_bad_threads_and_lone_resume(capsys):
+    for value in ("0", "-2"):
+        assert run(capsys, "gf", "--type", "E6", "--threads", value)[0] == 2
+    code, _, err = run(capsys, "gf", "--type", "E6", "--resume")
+    assert code == 2
+    assert "--checkpoint" in err
+
+
+def test_verify_family_rank_runs_one_identity(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "B", "--rank", "3")
+    assert code == 0
+    assert "odd-length B3" in out
+    assert out.strip().endswith("1/1 identities hold")
+    assert out == run(capsys, "verify", "--type", "B3")[1]
