@@ -18,7 +18,7 @@ Bourbaki node order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 import numpy as np
@@ -197,6 +197,10 @@ class RootSystem:
         reflection_tables one signed permutation of root indices per simple
                           root s: entry (target, sign) means s maps root k to
                           sign * root target; exactly index s itself flips
+
+    Derived tables are built on first use and kept: odd_index_array,
+    ambient_vectors and root_atoms below, and the transversal chain that
+    weyl.transversal_chain stores in _chain.
     """
 
     def __init__(self, ctype: CartanType, positive: list[Coords]):
@@ -213,6 +217,7 @@ class RootSystem:
             for j in range(ctype.rank)
         )
         self._build_tables()
+        self._chain: list | None = None
 
     def _build_tables(self) -> None:
         r = self.ctype.rank
@@ -245,6 +250,37 @@ class RootSystem:
     def odd_indices(self) -> tuple[int, ...]:
         return tuple(k for k, odd in enumerate(self.odd_mask) if odd)
 
+    @cached_property
+    def odd_index_array(self) -> np.ndarray:
+        return np.array(self.odd_indices, dtype=np.intp)
+
+    @cached_property
+    def ambient_vectors(self) -> tuple[tuple[int, ...], ...]:
+        """Positive roots as integer vectors in Z^n, n the window size
+        (classical types only)."""
+        simples = _ambient_simple_vectors(self.ctype)
+        n = len(simples[0])
+        return tuple(
+            tuple(sum(c * s[i] for c, s in zip(coords, simples)) for i in range(n))
+            for coords in self.positive_roots
+        )
+
+    @cached_property
+    def root_atoms(self) -> tuple[str, ...]:
+        """The atomic window statistic that counts each positive root when an
+        element sends it negative (classical types only): e_j - e_i (i < j)
+        is oinv or einv and e_i + e_j is onsp or ensp by the parity of j - i,
+        e_i or 2e_i is oneg or eneg by the parity of the 1-based position i."""
+        atoms = []
+        for vec in self.ambient_vectors:
+            at = [i for i, c in enumerate(vec) if c]
+            if len(at) == 1:
+                gap, kind = at[0] + 1, "neg"
+            else:
+                gap, kind = at[1] - at[0], "inv" if vec[at[0]] < 0 else "nsp"
+            atoms.append(("o" if gap % 2 else "e") + kind)
+        return tuple(atoms)
+
     @property
     def reflection_tables(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         return tuple(
@@ -263,6 +299,25 @@ class RootSystem:
 
     def __repr__(self) -> str:
         return f"RootSystem({self.ctype}, {self.size} positive roots)"
+
+
+def _ambient_simple_vectors(ctype: CartanType) -> list[tuple[int, ...]]:
+    """Simple roots of a classical type as integer vectors in Z^n, n the
+    window size, special node first."""
+    n = ctype.window_size
+    vecs = []
+    if ctype.family != "A":
+        first = [0] * n
+        if ctype.family == "D":
+            first[0] = first[1] = 1
+        else:
+            first[0] = 1 if ctype.family == "B" else 2
+        vecs.append(tuple(first))
+    for i in range(n - 1):
+        v = [0] * n
+        v[i], v[i + 1] = -1, 1
+        vecs.append(tuple(v))
+    return vecs
 
 
 def build_root_system(ctype: CartanType) -> RootSystem:

@@ -6,8 +6,8 @@ generating function, ``verify`` runs identity checks and reports pass/fail
 per identity.
 
 Exit codes: 0 all good, 1 at least one verification mismatch, 2 usage
-error, 3 budget/checkpoint/worker trouble.  Diagnostics go to stderr,
-results to stdout.
+error, 3 budget/range/checkpoint/worker trouble; every package error names
+its own code (see errors.py).  Diagnostics go to stderr, results to stdout.
 """
 
 from __future__ import annotations
@@ -18,21 +18,7 @@ import sys
 
 from .cartan import CartanType, build_root_system
 from .engine import run_partitioned
-from .errors import (
-    BudgetExceeded,
-    CheckpointCorrupt,
-    CheckpointUnwritable,
-    InvalidRank,
-    InvalidWindow,
-    NoPrediction,
-    OutOfStatedRange,
-    PartOutOfRange,
-    SystemMismatch,
-    TypeMismatch,
-    UnsupportedProfile,
-    VarMismatch,
-    WorkerFailure,
-)
+from .errors import InvalidRank, InvalidWindow, NoPrediction, OddLengthError
 from .gf import (
     predicted_display,
     signed_gf,
@@ -249,20 +235,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_roots = sub.add_parser("roots", help="print a positive root system")
-    _add_type_flags(p_roots)
-    p_roots.add_argument("--json", action="store_true")
-    p_roots.set_defaults(func=_cmd_roots)
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        # usage errors found after parsing are reported by the subcommand's
+        # own parser, so the usage line shows its flags
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=lambda args: func(args, p))
+        _add_type_flags(p)
+        return p
 
-    p_stats = sub.add_parser("stats", help="evaluate statistics on one window")
-    _add_type_flags(p_stats)
+    p_roots = command("roots", _cmd_roots, "print a positive root system")
+    p_roots.add_argument("--json", action="store_true")
+
+    p_stats = command("stats", _cmd_stats, "evaluate statistics on one window")
     p_stats.add_argument("--window", required=True,
                          help='comma separated, e.g. "3,-1,-4,-2,5"')
     p_stats.add_argument("--json", action="store_true")
-    p_stats.set_defaults(func=_cmd_stats)
 
-    p_gf = sub.add_parser("gf", help="compute a signed generating function")
-    _add_type_flags(p_gf)
+    p_gf = command("gf", _cmd_gf, "compute a signed generating function")
     p_gf.add_argument("--profile", default="odd-length")
     p_gf.add_argument("--restrict", default="full",
                       choices=("full", "unimodal", "chessboard", "good-chessboard"))
@@ -276,15 +265,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gf.add_argument("--progress", action="store_true",
                       help="per-part progress on stderr")
     p_gf.add_argument("--json", action="store_true")
-    p_gf.set_defaults(func=_cmd_gf)
 
-    p_verify = sub.add_parser("verify", help="check identities against brute force")
-    _add_type_flags(p_verify)
+    p_verify = command("verify", _cmd_verify, "check identities against brute force")
     p_verify.add_argument("--max-n", type=int, default=8)
     p_verify.add_argument("--printed-form", action="store_true",
                           help="also check the shorter printed type C product, "
                           "which is expected to fail")
-    p_verify.set_defaults(func=_cmd_verify)
     return parser
 
 
@@ -292,28 +278,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, parser)
+        return args.run(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    except BudgetExceeded as exc:
+    except OddLengthError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (CheckpointCorrupt, CheckpointUnwritable, WorkerFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (
-        InvalidRank,
-        InvalidWindow,
-        NoPrediction,
-        OutOfStatedRange,
-        PartOutOfRange,
-        SystemMismatch,
-        TypeMismatch,
-        UnsupportedProfile,
-        VarMismatch,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,26 +1,31 @@
-"""Exhaustive odd-length computation through the root action.
+"""Exhaustive weighted root counts through the root action.
+
+Every full-group profile is a weighted count of negated roots: root a
+carries an integer weight c_a (1 on the odd roots for odd length, a mixed
+radix code of the variables counting a otherwise, see gf.root_weights), and
+an element w gets the code sum of c_a over the roots a that w sends negative.
 
 The group is cut along its parabolic chain: the outermost transversal labels
 the parts, the remaining levels are split into a per-part prefix block and a
-shared suffix block.  For a part q, every element is q p s with p a prefix
-product and s a suffix product, and the number of odd roots it sends
-negative is
+shared suffix block of balanced sizes.  For a part q, every element is q p s
+with p a prefix product and s a suffix product, and
 
-    L(q p s) = sum over odd roots a of  flag_s(a) XOR negbit_{q p}(target_s(a))
+    code(q p s) = sum over weighted roots a of
+                  c_a (flag_s(a) XOR negbit_{q p}(target_s(a)))
 
 so one matrix product of the prefix sign-bit matrix against a suffix weight
-matrix evaluates L for a whole part at once.  Each prefix row also carries a
-constant 1 and its parity bit, and each suffix the matching weights
-flags_s + K parity_s and K, with K = N_odd + 1.  The product is then the code
-L + K (parity_qp + parity_s) below 3K, whose block gives the sign, so an
-unweighted bincount tallies a signed part.  When (3K)^2 is small, two prefix
-rows share one product as the two digits of a base-3K code, which halves
-the product and the counting.  Entries stay small integers, exact in
-float32, and the tallies are integer counts, so the result is exact and
-independent of part order.
+matrix of entries +-c_a evaluates a whole part at once.  Each prefix row also
+carries a constant 1 and its parity bit, and each suffix the matching
+weights sum c_a flag_s(a) + K parity_s and K, with K = sum c_a + 1.  The
+product is then the code + K (parity_qp + parity_s) below 3K, whose block
+gives the sign, so an unweighted bincount tallies a signed part.  When (3K)^2
+is small, two prefix rows share one product as the two digits of a base-3K
+code, which halves the product and the counting.  Entries and partial sums
+are integers bounded up front below 2^24, exact in float32, and the tallies
+are integer counts, so the result is exact and independent of part order.
 
 The longest element w0 halves the work: it negates every positive root, so
-L(w0 w) = N_odd - L(w) and length(w0 w) = N - length(w), and left
+code(w0 w) = K - 1 - code(w) and length(w0 w) = N - length(w), and left
 multiplication by w0 maps each part onto another one.  The tally of that
 mirror part is the reversed tally times (-1)^N, so only one part of each
 pair is computed.
@@ -33,6 +38,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -42,9 +48,10 @@ from .errors import (
     CheckpointCorrupt,
     CheckpointUnwritable,
     PartOutOfRange,
-    UnsupportedProfile,
+    WeightsTooLarge,
     WorkerFailure,
 )
+from .gf import GFResult, ResolvedProfile, resolve_profile, root_weights
 from .poly import Poly
 from .weyl import (
     DEFAULT_BUDGET,
@@ -55,11 +62,11 @@ from .weyl import (
     transversal_chain,
 )
 
-__all__ = ["odd_length_gf_by_roots", "run_partitioned", "Checkpoint"]
+__all__ = ["odd_length_gf_by_roots", "profile_gf_by_roots", "run_partitioned", "Checkpoint"]
 
-_SUFFIX_CAP = 65536
-_CHUNK = 4096  # suffix rows per matrix product, small enough to stay in cache
+_BLOCK_FLOATS = 1 << 18  # codes per matrix product, small enough to stay in cache
 _PAIRED_CODES = 1 << 16  # paired codes stay below this, far inside float32's exact range
+_FLOAT32_EXACT = 1 << 24  # integers up to here are exact in float32
 
 
 def _stacked(system: RootSystem, levels: list[list[WeylElement]], columns: np.ndarray):
@@ -102,26 +109,53 @@ class _Split:
     pneg: np.ndarray
     pparity: np.ndarray
     wmat: np.ndarray                  # suffixes x (roots + 2), float32 code weights
-    n_odd: int
+    k: int                            # sum of the weights + 1
+    digits: int                       # prefix rows sharing one product
+    block: int                        # suffix rows per product
+    codes: np.ndarray                 # block x product width, float32, reused
+    ints: np.ndarray                  # the same codes as intp, reused
 
     @classmethod
-    def build(cls, system: RootSystem) -> "_Split":
+    def build(cls, system: RootSystem, weights: np.ndarray | None = None) -> "_Split":
+        """Split for integer root weights, by default 1 on the odd roots."""
+        if weights is None:
+            weights = np.array(system.odd_mask, dtype=np.int64)
+        cols = np.flatnonzero(weights)
+        k = int(weights.sum()) + 1
+        # a suffix row holds the +-c_a (absolute sum K - 1), the constant (at
+        # most 2K - 1) and K against 0/1 prefix entries, so one-digit partial
+        # sums stay below 4K; paired digits only run with (3K)^2 <= 2^16
+        if 4 * k > _FLOAT32_EXACT:
+            raise WeightsTooLarge(
+                f"root weights summing to {k - 1} give codes past float32's"
+                " exact range (4K must stay within 2^24)"
+            )
         chain = transversal_chain(system)
         rest = chain[1:]
-        cut = len(rest)
-        size = 1
-        while cut > 0 and size * len(rest[cut - 1]) <= _SUFFIX_CAP:
-            size *= len(rest[cut - 1])
-            cut -= 1
-        odd = np.array(system.odd_indices, dtype=np.intp)
-        n, k = system.size, len(odd) + 1
-        tgt, flags, sparity = _stacked(system, rest[cut:], odd)
-        values = np.where(flags, np.float32(-1), np.float32(1))
+        sizes = [len(level) for level in rest]
+        cut = min(
+            range(len(rest) + 1), key=lambda c: max(prod(sizes[:c]), prod(sizes[c:]))
+        )
+        n = system.size
+        ptgt, pneg, pparity = _stacked(system, rest[:cut], np.arange(n))
+        ptgt = ptgt.astype(np.intp)  # int16 indices would be widened on every part
+        m = 3 * k
+        digits = 2 if len(pparity) % 2 == 0 and m * m <= _PAIRED_CODES else 1
+        width = len(pparity) // digits
+        block = min(prod(sizes[cut:]), max(1, _BLOCK_FLOATS // width))
+        # every part reuses one buffer pair: fresh megabyte arrays per product
+        # cost more in page faults than the product itself
+        codes = np.empty((block, width), dtype=np.float32)
+        ints = np.empty((block, width), dtype=np.intp)
+
+        tgt, flags, sparity = _stacked(system, rest[cut:], cols)
+        c = weights[cols].astype(np.float32)
         wmat = np.zeros((len(sparity), n + 2), dtype=np.float32)
-        for c in range(0, len(wmat), _CHUNK):
-            block = wmat[c:c + _CHUNK]
-            block[np.arange(len(block))[:, None], tgt[c:c + _CHUNK]] = values[c:c + _CHUNK]
-        wmat[:, n] = flags.sum(axis=1, dtype=np.int64) + k * sparity.astype(np.int64)
+        for lo in range(0, len(wmat), block):
+            rows = wmat[lo:lo + block]
+            f = flags[lo:lo + block]
+            rows[np.arange(len(rows))[:, None], tgt[lo:lo + block]] = np.where(f, -c, c)
+            rows[:, n] = f @ c + np.float32(k) * sparity[lo:lo + block]
         wmat[:, n + 1] = k
 
         # w0 q W_J has the minimal representative w0 q w0_J, w0_J longest in W_J
@@ -130,35 +164,36 @@ class _Split:
         w0_j = _longest_element(system, system.rank - 1)
         index = {q.key(): i for i, q in enumerate(parts)}
         mirror = [index[multiply(multiply(w0, q), w0_j).key()] for q in parts]
-        prefixes = _stacked(system, rest[:cut], np.arange(n))
-        return cls(system, parts, mirror, *prefixes, wmat, len(odd))
+        return cls(
+            system, parts, mirror, ptgt, pneg, pparity, wmat, k, digits, block, codes, ints
+        )
 
     def part_coeffs(self, part_index: int, unsigned: bool = False) -> np.ndarray:
-        """Signed tally of L values over one part, as an int64 vector."""
+        """Signed tally of codes over one part, as an int64 vector."""
         q = self.parts[part_index]
         n = self.system.size
         rows = np.empty((len(self.pparity), n + 2), dtype=np.float32)
         rows[:, :n] = q.neg[self.ptgt] ^ self.pneg
         rows[:, n] = 1
         rows[:, n + 1] = (self.pparity + q.parity) & 1
-        k = self.n_odd + 1
-        m = 3 * k
-        # two prefix rows share one product as the digits of a base-m code
-        # when the paired codes stay small; the tally is then the sum of the
-        # two digit histograms
-        digits = 2 if len(rows) % 2 == 0 and m * m <= _PAIRED_CODES else 1
-        if digits == 2:
+        m = 3 * self.k
+        # two prefix rows share one product as the digits of a base-m code;
+        # the tally is then the sum of the two digit histograms
+        if self.digits == 2:
             half = len(rows) // 2
             rows = rows[:half] + m * rows[half:]
-        counts = np.zeros(m**digits, dtype=np.int64)
-        for c in range(0, len(self.wmat), _CHUNK):
-            codes = self.wmat[c:c + _CHUNK] @ rows.T
-            counts += np.bincount(codes.astype(np.intp).ravel(), minlength=m**digits)
-        if digits == 2:
+        counts = np.zeros(m**self.digits, dtype=np.int64)
+        for lo in range(0, len(self.wmat), self.block):
+            w = self.wmat[lo:lo + self.block]
+            codes, ints = self.codes[:len(w)], self.ints[:len(w)]
+            np.matmul(w, rows.T, out=codes)
+            np.copyto(ints, codes, casting="unsafe")
+            counts += np.bincount(ints.ravel(), minlength=len(counts))
+        if self.digits == 2:
             grid = counts.reshape(m, m)
             counts = grid.sum(axis=0) + grid.sum(axis=1)
         # blocks by parity_qp + parity_s = 0, 1, 2; the middle one is negative
-        b0, b1, b2 = counts.reshape(3, k)
+        b0, b1, b2 = counts.reshape(3, self.k)
         return b0 + b1 + b2 if unsigned else b0 - b1 + b2
 
     def mirrored(self, coeffs: np.ndarray, unsigned: bool = False) -> np.ndarray:
@@ -180,20 +215,37 @@ class _Split:
         return out
 
 
-def _coeffs_to_poly(coeffs: np.ndarray) -> Poly:
-    return Poly(("x",), {(k,): int(c) for k, c in enumerate(coeffs) if c})
+def _coeffs_to_poly(
+    coeffs: np.ndarray, dims: tuple[int, ...] | None = None, vars: tuple[str, ...] = ("x",)
+) -> Poly:
+    """Polynomial of a code tally; the code holds one digit per variable,
+    of base dims[v], variable 0 the fastest."""
+    hits = np.flatnonzero(coeffs)
+    digits = np.unravel_index(hits, (dims or (len(coeffs),))[::-1])[::-1]
+    return Poly(vars, {
+        tuple(int(d[i]) for d in digits): int(coeffs[h]) for i, h in enumerate(hits)
+    })
 
 
-def odd_length_gf_by_roots(system: RootSystem, *, unsigned: bool = False) -> Poly:
-    """Sequential signed odd-length generating function over the whole group."""
-    split = _Split.build(system)
-    total = np.zeros(split.n_odd + 1, dtype=np.int64)
+def profile_gf_by_roots(
+    system: RootSystem, profile: ResolvedProfile, *, unsigned: bool = False
+) -> Poly:
+    """Sequential signed generating function of a full-group profile."""
+    weights, dims = root_weights(profile, system)
+    split = _Split.build(system, weights)
+    total = np.zeros(split.k, dtype=np.int64)
     for i, m in split.pairs(range(len(split.parts))):
         coeffs = split.part_coeffs(i, unsigned=unsigned)
         total += coeffs
         if m is not None:
             total += split.mirrored(coeffs, unsigned=unsigned)
-    return _coeffs_to_poly(total)
+    return _coeffs_to_poly(total, dims, profile.vars)
+
+
+def odd_length_gf_by_roots(system: RootSystem, *, unsigned: bool = False) -> Poly:
+    """Sequential signed odd-length generating function over the whole group."""
+    odd_length = resolve_profile("odd-length", system.ctype)
+    return profile_gf_by_roots(system, odd_length, unsigned=unsigned)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +259,7 @@ class Checkpoint:
         self.profile = profile
         self.n_parts = n_parts
         self.done: set[int] = set()
-        self.partial = Poly.zero(("x",))
+        self.partial = Poly.zero(resolve_profile(profile, ctype).vars)
 
     def payload(self) -> dict:
         body = {
@@ -343,7 +395,7 @@ def run_partitioned(
     allow_large: bool = False,
     progress: bool = False,
 ):
-    """Partitioned, checkpointed version of the odd-length computation.
+    """Partitioned, checkpointed computation of a full-group profile.
 
     Parts are the cosets of the outermost parabolic; each contributes a
     private polynomial and merging is plain addition, so completion order
@@ -352,10 +404,7 @@ def run_partitioned(
     checkpoint_path.  The suffix matrices are built only when some part is
     still to do.
     """
-    from .gf import GFResult  # local import to avoid a cycle
-
-    if profile != "odd-length":
-        raise UnsupportedProfile("the partitioned engine computes odd length only")
+    resolved = resolve_profile(profile, ctype)
     order = group_order(ctype)
     if order > budget and not allow_large:
         raise BudgetExceeded(
@@ -376,10 +425,11 @@ def run_partitioned(
     else:
         ck = Checkpoint(ctype, profile, n_parts)
     todo = [i for i in wanted if i not in ck.done]
+    weights, dims = root_weights(resolved, system)
 
     def merge(tallies: dict[int, np.ndarray]) -> None:
         for index, coeffs in tallies.items():
-            ck.partial = ck.partial + _coeffs_to_poly(coeffs)
+            ck.partial = ck.partial + _coeffs_to_poly(coeffs, dims, resolved.vars)
             ck.done.add(index)
         if checkpoint_path:
             ck.write(checkpoint_path)
@@ -393,7 +443,7 @@ def run_partitioned(
             )
 
     if todo:
-        split = _Split.build(system)
+        split = _Split.build(system, weights)
 
         def finish(index: int, mirror: int | None, coeffs: np.ndarray) -> None:
             tallies = {index: coeffs}

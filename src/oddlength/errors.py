@@ -1,8 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class carries the exit code the command line ends with when it is
+raised: 2 for a request that is malformed or undefined (usage), 3 for one
+that is well formed but past a size, range or resource limit, or that
+checkpoint or worker trouble stopped.
+"""
 
 
 class OddLengthError(Exception):
     """Base class for every error raised by this package."""
+    exit_code = 2
 
 
 class InvalidRank(OddLengthError):
@@ -27,10 +34,12 @@ class IndexOutOfRange(OddLengthError, IndexError):
 
 class NonTerminating(OddLengthError):
     """Closure failed to stabilize; indicates corrupt Cartan data."""
+    exit_code = 3
 
 
 class BudgetExceeded(OddLengthError):
     """Requested enumeration is larger than the configured element budget."""
+    exit_code = 3
 
 
 class NoPeak(OddLengthError):
@@ -59,6 +68,7 @@ class VarMismatch(OddLengthError):
 
 class Overflow(OddLengthError):
     """Coefficient or evaluation left the checked 64-bit range."""
+    exit_code = 3
 
 
 class UnsupportedProfile(OddLengthError):
@@ -67,10 +77,12 @@ class UnsupportedProfile(OddLengthError):
 
 class CheckpointCorrupt(OddLengthError):
     """Checkpoint file failed integrity or compatibility checks."""
+    exit_code = 3
 
 
 class WorkerFailure(OddLengthError):
     """A partition worker failed repeatedly."""
+    exit_code = 3
 
 
 class PartOutOfRange(OddLengthError, ValueError):
@@ -79,3 +91,9 @@ class PartOutOfRange(OddLengthError, ValueError):
 
 class CheckpointUnwritable(OddLengthError):
     """Checkpoint path lies in a directory that cannot be written."""
+    exit_code = 3
+
+
+class WeightsTooLarge(OddLengthError):
+    """Root weights whose codes could leave float32's exact integer range."""
+    exit_code = 3

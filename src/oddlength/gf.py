@@ -1,21 +1,22 @@
 """Signed generating functions over Weyl groups and their closed forms.
 
 A profile names the tuple of statistics carried as exponents; the sign is
-always (-1) to the Coxeter length of the element.  Classical groups are
-enumerated in window notation, exceptional ones through their action on the
-positive roots (see engine.py).  Every closed form asserted by verify() is
-multiplied out exactly and compared term by term.
+always (-1) to the Coxeter length of the element.  Over the whole group,
+every profile is a weighted count of the positive roots an element sends
+negative, computed through the root action (see engine.py); restricted
+domains are enumerated window by window.  Every closed form asserted by
+verify() is multiplied out exactly and compared term by term.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
-from .cartan import CartanType, group_order, root_system
+from .cartan import CartanType, RootSystem, group_order, root_system
 from .errors import (
     BudgetExceeded,
     NoPrediction,
@@ -41,6 +42,7 @@ __all__ = [
     "PROFILES",
     "RESTRICTIONS",
     "resolve_profile",
+    "root_weights",
     "signed_gf",
     "predicted_gf",
     "predicted_display",
@@ -107,6 +109,45 @@ def resolve_profile(name: str, ctype: CartanType) -> ResolvedProfile:
     return ResolvedProfile(name, vars_, stats, sign)
 
 
+# composite atoms split by parity, the way RootSystem.root_atoms names roots
+_PARITY_ATOMS = {
+    _S.inv: (_S.oinv, _S.einv),
+    _S.neg: (_S.oneg, _S.eneg),
+    _S.nsp: (_S.onsp, _S.ensp),
+}
+
+
+def root_weights(
+    profile: ResolvedProfile, system: RootSystem
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Root weights of a full-group profile and the base of each variable.
+
+    Variable v counts the roots in mask_v (odd height for odd length, else
+    those whose atom its statistic sums); root a gets the weight
+    sum_v R_v mask_v[a] with R_v the product of the bases max_v + 1 of the
+    variables before v, so the weighted count holds variable 0 as its
+    fastest digit.
+    """
+    if profile.name == "odd-length":
+        masks = [np.array(system.odd_mask, dtype=np.int64)]
+    else:
+        atoms = system.root_atoms
+        masks = []
+        for stat in profile.window_stats:
+            counted = [
+                atom.value
+                for part in COMPOSITE.get(stat, (stat,))
+                for atom in _PARITY_ATOMS.get(part, (part,))
+            ]
+            masks.append(np.array([counted.count(a) for a in atoms], dtype=np.int64))
+    weights = np.zeros(system.size, dtype=np.int64)
+    dims: list[int] = []
+    for mask in masks:
+        weights += prod(dims) * mask
+        dims.append(int(mask.sum()) + 1)
+    return weights, tuple(dims)
+
+
 @dataclass(frozen=True)
 class GFResult:
     poly: Poly
@@ -120,7 +161,7 @@ class GFResult:
 
 
 # ---------------------------------------------------------------------------
-# window enumeration backends
+# window enumeration of restricted domains; also the reference for the engine
 
 def _restriction_predicate(restriction: str, ctype: CartanType):
     if restriction not in RESTRICTIONS:
@@ -157,92 +198,6 @@ def _gf_windows_python(ctype, profile, predicate, unsigned):
     return Poly(profile.vars, acc), count
 
 
-def _sign_blocks(ctype):
-    n = ctype.window_size
-    if ctype.family == "A":
-        return [np.ones(n, dtype=np.int64)]
-    blocks = []
-    for signs in itertools.product((1, -1), repeat=n):
-        if ctype.family == "D" and signs.count(-1) % 2:
-            continue
-        blocks.append(np.array(signs, dtype=np.int64))
-    return blocks
-
-
-def _gf_windows_numpy(ctype, profile, unsigned):
-    """Blocked evaluation over all windows: one block per sign pattern."""
-    n = ctype.window_size
-    perms = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
-    atomic_names = ("oinv", "einv", "onsp", "ensp", "oneg", "eneg")
-    var_parts = [
-        tuple(s.value for s in COMPOSITE.get(stat, (stat,)))
-        for stat in profile.window_stats
-    ]
-    sign_parts = tuple(s.value for s in COMPOSITE[profile.sign_stat])
-
-    bound = _atomic_bounds(n)
-    dims = tuple(1 + sum(bound[p] for p in parts) for parts in var_parts)
-    size = int(np.prod(dims))
-    pos = np.zeros(size, dtype=np.int64)
-    neg = np.zeros(size, dtype=np.int64)
-
-    pairs = [(i, j, (j - i) & 1) for i in range(n - 1) for j in range(i + 1, n)]
-    for signs in _sign_blocks(ctype):
-        win = perms * signs
-        cols = {name: np.zeros(len(win), dtype=np.int64) for name in atomic_names}
-        for i, j, odd in pairs:
-            gt = win[:, i] > win[:, j]
-            ns = (win[:, i] + win[:, j]) < 0
-            if odd:
-                cols["oinv"] += gt
-                cols["onsp"] += ns
-            else:
-                cols["einv"] += gt
-                cols["ensp"] += ns
-        for i in range(n):
-            cols["oneg" if i % 2 == 0 else "eneg"] += win[:, i] < 0
-        cols["inv"] = cols["oinv"] + cols["einv"]
-        cols["nsp"] = cols["onsp"] + cols["ensp"]
-        cols["neg"] = cols["oneg"] + cols["eneg"]
-
-        expo_cols = [sum(cols[p] for p in parts) for parts in var_parts]
-        codes = np.ravel_multi_index(expo_cols, dims)
-        if unsigned:
-            pos += np.bincount(codes, minlength=size)
-        else:
-            parity = sum(cols[p] for p in sign_parts) & 1
-            pos += np.bincount(codes[parity == 0], minlength=size)
-            neg += np.bincount(codes[parity == 1], minlength=size)
-
-    coef = pos - neg
-    hits = np.nonzero(coef)[0]
-    expos = np.unravel_index(hits, dims)
-    terms = {
-        tuple(int(expos[v][i]) for v in range(len(dims))): int(coef[hits[i]])
-        for i in range(len(hits))
-    }
-    return Poly(profile.vars, terms)
-
-
-def _atomic_bounds(n: int) -> dict[str, int]:
-    odd_pairs = sum(n - g for g in range(1, n, 2))
-    even_pairs = sum(n - g for g in range(2, n, 2))
-    return {
-        "oinv": odd_pairs,
-        "einv": even_pairs,
-        "onsp": odd_pairs,
-        "ensp": even_pairs,
-        "inv": odd_pairs + even_pairs,
-        "nsp": odd_pairs + even_pairs,
-        "oneg": (n + 1) // 2,
-        "eneg": n // 2,
-        "neg": n,
-    }
-
-
-_NUMPY_CUTOVER = 200_000
-
-
 def signed_gf(
     ctype: CartanType,
     profile: str = "odd-length",
@@ -260,22 +215,14 @@ def signed_gf(
             f"group of order {order} exceeds the element budget {budget};"
             " use run_partitioned"
         )
-    if resolved.window_stats is None:
-        if restriction != "full":
-            raise UnsupportedProfile(
-                f"restriction {restriction!r} needs the window representation"
-            )
-        from .engine import odd_length_gf_by_roots
+    predicate = _restriction_predicate(restriction, ctype)
+    if predicate is None:
+        from .engine import profile_gf_by_roots  # engine imports this module
 
-        poly = odd_length_gf_by_roots(root_system(ctype), unsigned=unsigned)
+        poly = profile_gf_by_roots(root_system(ctype), resolved, unsigned=unsigned)
         count = order
     else:
-        predicate = _restriction_predicate(restriction, ctype)
-        if predicate is None and order >= _NUMPY_CUTOVER:
-            poly = _gf_windows_numpy(ctype, resolved, unsigned)
-            count = order
-        else:
-            poly, count = _gf_windows_python(ctype, resolved, predicate, unsigned)
+        poly, count = _gf_windows_python(ctype, resolved, predicate, unsigned)
     return GFResult(
         poly, ctype, profile, restriction, count, time.perf_counter() - start
     )

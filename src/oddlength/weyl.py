@@ -107,53 +107,11 @@ def length_by_roots(w: WeylElement) -> int:
 
 def odd_length_by_roots(w: WeylElement) -> int:
     """Odd-height positive roots sent to negative ones."""
-    sys = w.system
-    if not hasattr(sys, "_odd_idx_arr"):
-        sys._odd_idx_arr = np.array(sys.odd_indices, dtype=np.int64)
-    return int(w.neg[sys._odd_idx_arr].sum())
+    return int(w.neg[w.system.odd_index_array].sum())
 
 
 # ---------------------------------------------------------------------------
 # window representation for the classical families
-
-def _ambient_simple_vectors(ctype: CartanType) -> list[tuple[int, ...]]:
-    """Simple roots as integer vectors in Z^n, n the window size."""
-    n = ctype.window_size
-    vecs: list[list[int]] = []
-    fam = ctype.family
-    first: dict[str, list[int]] = {}
-    if fam != "A":
-        e1 = [0] * n
-        e1[0] = 1
-        if fam == "B":
-            first["v"] = e1
-        elif fam == "C":
-            first["v"] = [2 * c for c in e1]
-        else:
-            v = [0] * n
-            v[0] = v[1] = 1
-            first["v"] = v
-        vecs.append(first["v"])
-    chain = ctype.rank if fam == "A" else ctype.rank - 1
-    for i in range(chain):
-        v = [0] * n
-        v[i], v[i + 1] = -1, 1
-        vecs.append(v)
-    return [tuple(v) for v in vecs]
-
-
-def _ambient_root_vectors(system: RootSystem) -> list[tuple[int, ...]]:
-    simples = _ambient_simple_vectors(system.ctype)
-    n = len(simples[0])
-    out = []
-    for coords in system.positive_roots:
-        v = [0] * n
-        for c, s in zip(coords, simples):
-            for i in range(n):
-                v[i] += c * s[i]
-        out.append(tuple(v))
-    return out
-
 
 def _check_window(ctype: CartanType, window: Sequence[int]) -> tuple[int, ...]:
     n = ctype.window_size
@@ -173,7 +131,7 @@ def window_to_element(system: RootSystem, window: Sequence[int]) -> WeylElement:
     if not ctype.is_classical:
         raise TypeMismatch(f"{ctype} has no window representation")
     w = _check_window(ctype, window)
-    vectors = _cached_root_vectors(system)
+    vectors = system.ambient_vectors
     lookup = {v: k for k, v in enumerate(vectors)}
     n = len(w)
     size = system.size
@@ -195,19 +153,13 @@ def window_to_element(system: RootSystem, window: Sequence[int]) -> WeylElement:
     return WeylElement(system, tgt, neg, int(neg.sum()) & 1)
 
 
-def _cached_root_vectors(system: RootSystem) -> list[tuple[int, ...]]:
-    if not hasattr(system, "_ambient_vectors"):
-        system._ambient_vectors = _ambient_root_vectors(system)
-    return system._ambient_vectors
-
-
 def element_to_window(w: WeylElement) -> tuple[int, ...]:
     """Window of a classical element; inverse of window_to_element."""
     system = w.system
     ctype = system.ctype
     if not ctype.is_classical:
         raise TypeMismatch(f"{ctype} has no window representation")
-    vectors = _cached_root_vectors(system)
+    vectors = system.ambient_vectors
     n = ctype.window_size
 
     def image_of_root(k: int, sign: int = 1) -> list[int]:
@@ -289,7 +241,7 @@ def transversal_chain(system: RootSystem) -> list[list[WeylElement]]:
     <s_0..s_{r-1-k}>; every group element is the product of one representative
     per level, taken left to right, exactly once.
     """
-    if not hasattr(system, "_chain"):
+    if system._chain is None:
         r = system.rank
         chain: list[list[WeylElement]] = []
         for k in range(r):

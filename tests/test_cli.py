@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from oddlength import cli, errors
 from oddlength.cli import main
 
 A2_GOLDEN = '{"vars":["x"],"terms":[{"e":[0],"c":1},{"e":[2],"c":-1}]}'
@@ -197,3 +200,58 @@ def test_verify_family_rank_runs_one_identity(capsys):
     assert "odd-length B3" in out
     assert out.strip().endswith("1/1 identities hold")
     assert out == run(capsys, "verify", "--type", "B3")[1]
+
+
+def test_subcommand_usage_error_shows_its_usage(capsys):
+    code, _, err = run(capsys, "gf", "--type", "E6", "--resume")
+    assert code == 2
+    assert err.startswith("usage: oddlength gf")
+
+
+def test_gf_multivariate_threads_match_sequential(capsys):
+    argv = ("gf", "--type", "B8", "--profile", "B-4var", "--json")
+    code, out, _ = run(capsys, *argv, "--threads", "2")
+    assert code == 0
+    assert out == run(capsys, *argv)[1]
+
+
+def test_gf_weights_past_float32_exit_3(capsys):
+    # B-4var on B26 would need codes of 2.1e7 > 2^24; refused before any build
+    code, out, err = run(capsys, "gf", "--type", "B26", "--profile", "B-4var",
+                         "--allow-large", "--parts", "0", "--json")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+EXIT_CODES = {
+    errors.InvalidRank: 2, errors.InvalidWindow: 2, errors.SystemMismatch: 2,
+    errors.TypeMismatch: 2, errors.IndexOutOfRange: 2, errors.NoPeak: 2,
+    errors.NotApplicable: 2, errors.IsChessboard: 2, errors.NoPrediction: 2,
+    errors.OutOfStatedRange: 2, errors.VarMismatch: 2, errors.UnsupportedProfile: 2,
+    errors.PartOutOfRange: 2, errors.NonTerminating: 3, errors.BudgetExceeded: 3,
+    errors.Overflow: 3, errors.CheckpointCorrupt: 3, errors.WorkerFailure: 3,
+    errors.CheckpointUnwritable: 3, errors.WeightsTooLarge: 3,
+}
+
+
+def test_exit_code_map_covers_every_error_class():
+    found = {
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.OddLengthError)
+    }
+    assert found - {errors.OddLengthError} == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("cls", list(EXIT_CODES), ids=lambda c: c.__name__)
+def test_every_error_class_ends_in_its_exit_code(capsys, monkeypatch, cls):
+    # most classes cannot be raised through the CLI with desk-sized input
+    # (Overflow needs verify --type C240, several seconds), so the command
+    # is made to raise each one
+    def boom(*args, **kwargs):
+        raise cls("injected")
+
+    monkeypatch.setattr(cli, "signed_gf", boom)
+    code, out, err = run(capsys, "gf", "--type", "A2")
+    assert code == EXIT_CODES[cls] == cls.exit_code
+    assert out == "" and err == "error: injected\n"

@@ -16,6 +16,7 @@ from oddlength.errors import (
     CheckpointUnwritable,
     PartOutOfRange,
     UnsupportedProfile,
+    WeightsTooLarge,
     WorkerFailure,
 )
 from oddlength.gf import signed_gf
@@ -248,3 +249,28 @@ def test_full_e8_polynomial():
     }
     assert {e[0]: c for e, c in res.poly.terms.items()} == expect
     assert res.poly.eval_int((1,)) == 0
+
+
+def test_oversized_weights_refused_before_the_build(monkeypatch):
+    def no_chain(system):
+        raise AssertionError("chain walked for weights that cannot be exact")
+
+    monkeypatch.setattr(engine, "transversal_chain", no_chain)
+    system = root_system(CartanType.parse("B3"))
+    weights = np.zeros(system.size, dtype=np.int64)
+    weights[0] = 1 << 22
+    with pytest.raises(WeightsTooLarge):
+        engine._Split.build(system, weights)
+
+
+def test_multivariate_checkpoint_resume(tmp_path):
+    b5 = CartanType.parse("B5")
+    path = str(tmp_path / "b5.ckpt")
+    first = run_partitioned(b5, "B-4var", checkpoint_path=path, parts=[0, 3, 4])
+    assert first.poly.vars == ("x1", "x2", "y", "z")
+    resumed = run_partitioned(b5, "B-4var", checkpoint_path=path, resume=True)
+    assert resumed.parts_done == tuple(range(10))
+    one_shot = run_partitioned(b5, "B-4var").poly.dumps()
+    assert resumed.poly.dumps() == one_shot == signed_gf(b5, "B-4var").poly.dumps()
+    with pytest.raises(CheckpointCorrupt):
+        Checkpoint.read(path, b5, "B-ooo", 10)

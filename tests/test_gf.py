@@ -10,6 +10,7 @@ from oddlength.errors import (
     UnsupportedProfile,
 )
 from oddlength.gf import (
+    PROFILES,
     predicted_gf,
     predicted_multivariate,
     resolve_profile,
@@ -48,18 +49,30 @@ def test_frozen_small_generating_functions(name):
     assert res.elements == group_order(res.ctype)
 
 
-def test_both_backends_agree():
-    # force the vectorized path on a group the python path also covers
-    ct = CartanType.parse("B4")
-    small = signed_gf(ct)
-    import oddlength.gf as gf_mod
-    saved = gf_mod._NUMPY_CUTOVER
-    gf_mod._NUMPY_CUTOVER = 1
-    try:
-        big = signed_gf(ct)
-    finally:
-        gf_mod._NUMPY_CUTOVER = saved
-    assert small.poly == big.poly
+def _window_oracle(ct, profile, unsigned=False):
+    # the per-window enumeration, kept as the reference for the root engine
+    from oddlength.gf import _gf_windows_python
+    return _gf_windows_python(ct, resolve_profile(profile, ct), None, unsigned)[0]
+
+
+def test_engine_matches_window_oracle():
+    # every profile at every rank up to 5 where it is defined, signed and
+    # unsigned, through the root engine against the window enumeration
+    checked = set()
+    for family in "ABCD":
+        for n in range(2 if family == "D" else 1, 6):
+            ct = CartanType(family, n)
+            for profile in PROFILES:
+                try:
+                    resolve_profile(profile, ct)
+                except UnsupportedProfile:
+                    continue
+                checked.add((profile, family))
+                for unsigned in (False, True):
+                    res = signed_gf(ct, profile, unsigned=unsigned)
+                    assert res.poly == _window_oracle(ct, profile, unsigned), (ct, profile)
+                    assert res.elements == group_order(ct)
+    assert {p for p, _ in checked} == set(PROFILES)
 
 
 def test_window_and_root_paths_agree():
@@ -67,7 +80,10 @@ def test_window_and_root_paths_agree():
     from oddlength.cartan import root_system
     for name in ("A3", "B3", "C3", "D4"):
         ct = CartanType.parse(name)
-        assert signed_gf(ct).poly == odd_length_gf_by_roots(root_system(ct))
+        for unsigned in (False, True):
+            assert _window_oracle(ct, "odd-length", unsigned) == odd_length_gf_by_roots(
+                root_system(ct), unsigned=unsigned
+            )
 
 
 def test_unsigned_mode_counts_the_group():
