@@ -3,117 +3,29 @@
 Root systems with heights, group enumeration, window statistics for the
 classical types, sparse integer polynomials, signed generating functions
 and the bundled identity checks, plus a partitioned engine that reaches
-E8.
+E8.  The package exports the names below; everything else lives in its
+submodule (cartan, weyl, stats, poly, gf, engine, errors, cli).
 """
 
-from .cartan import CartanType, RootSystem, build_root_system, root_system
-from .engine import Checkpoint, run_partitioned
-from .errors import (
-    BudgetExceeded,
-    CheckpointCorrupt,
-    InvalidRank,
-    InvalidWindow,
-    IsChessboard,
-    NoPeak,
-    NoPrediction,
-    NotApplicable,
-    OddLengthError,
-    OutOfStatedRange,
-    Overflow,
-    SystemMismatch,
-    UnsupportedProfile,
-)
-from .gf import (
-    GFResult,
-    VerifyReport,
-    predicted_gf,
-    predicted_multivariate,
-    signed_gf,
-    verification_suite,
-    verify_multivariate,
-    verify_restriction,
-    verify_univariate,
-)
-from .poly import Poly, expand_product
-from .stats import (
-    SignedPermutation,
-    StatisticId,
-    bar_involution_D,
-    chessboard_involution_D,
-    classify,
-    compute_statistic,
-    extend,
-    parabolic_decompose_D,
-    peak_involution,
-    star_involution,
-)
-from .weyl import (
-    ConjugatedRootSystem,
-    WeylElement,
-    conjugate_simple_system,
-    element_to_window,
-    enumerate_group,
-    identity,
-    length_by_roots,
-    multiply,
-    odd_length_by_roots,
-    simple_reflection,
-    window_to_element,
-)
+from .cartan import CartanType, root_system
+from .engine import run_partitioned
+from .errors import OddLengthError
+from .gf import predicted_gf, signed_gf
+from .poly import Poly
+from .stats import SignedPermutation, StatisticId, compute_statistic
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CartanType",
-    "RootSystem",
-    "build_root_system",
     "root_system",
-    "Checkpoint",
     "run_partitioned",
     "OddLengthError",
-    "BudgetExceeded",
-    "CheckpointCorrupt",
-    "InvalidRank",
-    "InvalidWindow",
-    "IsChessboard",
-    "NoPeak",
-    "NoPrediction",
-    "NotApplicable",
-    "OutOfStatedRange",
-    "Overflow",
-    "SystemMismatch",
-    "UnsupportedProfile",
-    "GFResult",
-    "VerifyReport",
     "predicted_gf",
-    "predicted_multivariate",
     "signed_gf",
-    "verification_suite",
-    "verify_multivariate",
-    "verify_restriction",
-    "verify_univariate",
     "Poly",
-    "expand_product",
     "SignedPermutation",
     "StatisticId",
-    "bar_involution_D",
-    "chessboard_involution_D",
-    "classify",
     "compute_statistic",
-    "extend",
-    "parabolic_decompose_D",
-    "peak_involution",
-    "star_involution",
-    "ConjugatedRootSystem",
-    "WeylElement",
-    "conjugate_simple_system",
-    "element_to_window",
-    "enumerate_group",
-    "identity",
-    "length_by_roots",
-    "multiply",
-    "odd_length_by_roots",
-    "simple_reflection",
-    "window_to_element",
     "__version__",
 ]

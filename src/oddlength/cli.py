@@ -18,14 +18,20 @@ import sys
 
 from .cartan import CartanType, build_root_system
 from .engine import run_partitioned
-from .errors import InvalidRank, InvalidWindow, NoPrediction, OddLengthError
+from .errors import InvalidRank, NoPrediction, OddLengthError
 from .gf import (
     predicted_display,
     signed_gf,
     verification_suite,
     verify_univariate,
 )
-from .stats import SignedPermutation, StatisticId, classify, compute_statistic
+from .stats import (
+    SignedPermutation,
+    StatisticId,
+    check_window,
+    classify,
+    compute_statistic,
+)
 
 
 def _add_type_flags(sub: argparse.ArgumentParser) -> None:
@@ -72,22 +78,11 @@ def _cmd_roots(args, parser) -> int:
     return 0
 
 
-def _validate_window(ct: CartanType, sigma: SignedPermutation) -> None:
-    n = ct.window_size
-    if sigma.n != n:
-        raise InvalidWindow(f"{ct} wants a window of size {n}, got {sigma.n}")
-    if ct.family == "A" and not sigma.is_plain:
-        raise InvalidWindow("type A windows cannot contain negative entries")
-    if ct.family == "D" and not sigma.is_even_signed:
-        raise InvalidWindow("type D windows need an even number of negative entries")
-
-
 def _cmd_stats(args, parser) -> int:
     ct = _resolve_type(args, parser)
     if ct.family not in "ABCD":
         parser.error("stats works on window notation, so classical types only")
-    sigma = SignedPermutation.parse(args.window)
-    _validate_window(ct, sigma)
+    sigma = check_window(ct, SignedPermutation.parse(args.window))
     values = {stat.value: compute_statistic(stat, sigma) for stat in StatisticId}
     cls = classify(sigma)
     if args.json:

@@ -44,7 +44,6 @@ import numpy as np
 
 from .cartan import CartanType, RootSystem, group_order, root_system
 from .errors import (
-    BudgetExceeded,
     CheckpointCorrupt,
     CheckpointUnwritable,
     PartOutOfRange,
@@ -56,6 +55,7 @@ from .poly import Poly
 from .weyl import (
     DEFAULT_BUDGET,
     WeylElement,
+    check_budget,
     identity,
     multiply,
     simple_reflection,
@@ -405,12 +405,7 @@ def run_partitioned(
     still to do.
     """
     resolved = resolve_profile(profile, ctype)
-    order = group_order(ctype)
-    if order > budget and not allow_large:
-        raise BudgetExceeded(
-            f"group of order {order} exceeds the element budget {budget};"
-            " pass allow_large=True to opt in"
-        )
+    order = group_order(ctype) if allow_large else check_budget(ctype, budget)
     start = time.perf_counter()
     system = root_system(ctype)
     n_parts = len(transversal_chain(system)[0])

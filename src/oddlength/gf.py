@@ -16,9 +16,8 @@ from math import prod
 
 import numpy as np
 
-from .cartan import CartanType, RootSystem, group_order, root_system
+from .cartan import CartanType, RootSystem, root_system
 from .errors import (
-    BudgetExceeded,
     NoPrediction,
     OutOfStatedRange,
     UnsupportedProfile,
@@ -33,7 +32,7 @@ from .stats import (
     is_good_chessboard,
     is_unimodal,
 )
-from .weyl import DEFAULT_BUDGET, iter_group_windows
+from .weyl import DEFAULT_BUDGET, check_budget, iter_group_windows
 
 __all__ = [
     "ResolvedProfile",
@@ -55,25 +54,27 @@ __all__ = [
 
 _S = StatisticId
 
-# window statistic tuple and sign statistic per profile; None marks the
-# type-resolved odd-length profile
-_PROFILE_TABLE: dict[str, tuple[tuple[str, ...], tuple[_S, ...], _S, str]] = {
-    "B-4var": (("x1", "x2", "y", "z"), (_S.oneg, _S.eneg, _S.oinv, _S.ensp), _S.len_B, "B"),
-    "B-ooo": (("x", "y", "z"), (_S.oneg, _S.oinv, _S.onsp), _S.len_B, "B"),
-    "B-eoo": (("x", "y", "z"), (_S.eneg, _S.oinv, _S.onsp), _S.len_B, "B"),
-    "B-nonfactor": (("x1", "x2", "y", "z"), (_S.oneg, _S.eneg, _S.oinv, _S.onsp), _S.len_B, "B"),
-    "uni-ooe": (("x",), (_S.L_ooe,), _S.len_B, "B"),
-    "uni-eoe": (("x",), (_S.L_eoe,), _S.len_B, "B"),
-    "uni-eoo": (("x",), (_S.L_eoo,), _S.len_B, "B"),
-    "D-bivar": (("x", "y"), (_S.oinv, _S.onsp), _S.len_D, "D"),
-    "D-oe": (("x", "y"), (_S.oinv, _S.ensp), _S.len_D, "D"),
-}
-
 _ODD_LENGTH_BY_FAMILY: dict[str, tuple[_S, _S]] = {
+    # family -> (odd-length statistic, Coxeter length giving the sign)
     "A": (_S.L_A, _S.len_A),
     "B": (_S.L_B, _S.len_B),
     "C": (_S.L_C, _S.len_B),
     "D": (_S.L_D, _S.len_D),
+}
+
+# profile -> variables, window statistics, family, and the range of n its
+# identity is stated for (lowest, highest or None); the sign is the
+# family's Coxeter length
+_PROFILE_TABLE: dict[str, tuple[tuple[str, ...], tuple[_S, ...], str, int, int | None]] = {
+    "B-4var": (("x1", "x2", "y", "z"), (_S.oneg, _S.eneg, _S.oinv, _S.ensp), "B", 1, None),
+    "B-ooo": (("x", "y", "z"), (_S.oneg, _S.oinv, _S.onsp), "B", 1, None),
+    "B-eoo": (("x", "y", "z"), (_S.eneg, _S.oinv, _S.onsp), "B", 1, None),
+    "B-nonfactor": (("x1", "x2", "y", "z"), (_S.oneg, _S.eneg, _S.oinv, _S.onsp), "B", 4, 4),
+    "uni-ooe": (("x",), (_S.L_ooe,), "B", 3, None),
+    "uni-eoe": (("x",), (_S.L_eoe,), "B", 3, None),
+    "uni-eoo": (("x",), (_S.L_eoo,), "B", 3, None),
+    "D-bivar": (("x", "y"), (_S.oinv, _S.onsp), "D", 2, None),
+    "D-oe": (("x", "y"), (_S.oinv, _S.ensp), "D", 2, None),
 }
 
 PROFILES: tuple[str, ...] = ("odd-length",) + tuple(_PROFILE_TABLE)
@@ -95,18 +96,22 @@ class ResolvedProfile:
     sign_stat: _S | None
 
 
+def _profile_entry(name: str):
+    if name not in _PROFILE_TABLE:
+        raise UnsupportedProfile(f"unknown profile {name!r}")
+    return _PROFILE_TABLE[name]
+
+
 def resolve_profile(name: str, ctype: CartanType) -> ResolvedProfile:
     if name == "odd-length":
         if ctype.is_classical:
             stat, sign = _ODD_LENGTH_BY_FAMILY[ctype.family]
             return ResolvedProfile(name, ("x",), (stat,), sign)
         return ResolvedProfile(name, ("x",), None, None)
-    if name not in _PROFILE_TABLE:
-        raise UnsupportedProfile(f"unknown profile {name!r}")
-    vars_, stats, sign, family = _PROFILE_TABLE[name]
+    vars_, stats, family, _, _ = _profile_entry(name)
     if ctype.family != family:
         raise UnsupportedProfile(f"profile {name!r} is defined on family {family} only")
-    return ResolvedProfile(name, vars_, stats, sign)
+    return ResolvedProfile(name, vars_, stats, _ODD_LENGTH_BY_FAMILY[family][1])
 
 
 # composite atoms split by parity, the way RootSystem.root_atoms names roots
@@ -209,12 +214,7 @@ def signed_gf(
     """Exact signed generating function by exhaustive enumeration."""
     start = time.perf_counter()
     resolved = resolve_profile(profile, ctype)
-    order = group_order(ctype)
-    if order > budget:
-        raise BudgetExceeded(
-            f"group of order {order} exceeds the element budget {budget};"
-            " use run_partitioned"
-        )
+    order = check_budget(ctype, budget)
     predicate = _restriction_predicate(restriction, ctype)
     if predicate is None:
         from .engine import profile_gf_by_roots  # engine imports this module
@@ -231,27 +231,46 @@ def signed_gf(
 # ---------------------------------------------------------------------------
 # closed product forms
 
-def _x(k: int = 1) -> Poly:
-    return Poly(("x",), {(k,): 1})
+# recorded products outside the classical families; F4's is the reference
+# its enumerated series disagrees with (see README)
+_EXCEPTIONAL_FACTORS: dict[tuple[str, int], list[tuple[int, int, int]]] = {
+    ("F", 4): [(2, -1, 2), (4, -1, 2)],
+    ("E", 6): [(k, -1, 1) for k in (2, 4, 6, 8)],
+    ("E", 7): [(k, -1, 1) for k in range(2, 9)],
+}
 
 
-def _one() -> Poly:
-    return Poly.const(1, ("x",))
+def _factor_table(ctype: CartanType, printed_form: bool = False) -> list[tuple[int, int, int]]:
+    """Closed product of the signed odd-length series as entries (k, sign, m),
+    each standing for (1 + sign x^k)^m, in display order."""
+    fam, n = ctype.family, ctype.rank
+    if fam in "AD":
+        # (1 + (-1)^(i-1) x^floor(i/2)), i = 2..window size; D squares it
+        m = 1 if fam == "A" else 2
+        return [(i // 2, (-1) ** (i - 1), m) for i in range(2, ctype.window_size + 1)]
+    if fam == "B":
+        return [(i, -1, 1) for i in range(1, n + 1)]
+    if fam == "C":
+        h = (n + 1) // 2
+        if printed_form:
+            return [(h, -1, 1)] + [(2 * k, -1, 2) for k in range(1, h + 1)]
+        top = [(n, -1, 1)] if n % 2 == 0 else []
+        return [(h, -1, 1)] + [(2 * k, -1, 2) for k in range(1, h)] + top
+    if (fam, n) in _EXCEPTIONAL_FACTORS:
+        return list(_EXCEPTIONAL_FACTORS[fam, n])
+    raise NoPrediction(f"no closed form on record for {ctype}")
 
 
-def _a_factors(n: int) -> list[Poly]:
-    # for S_n: factors (1 + (-1)^(i-1) x^floor(i/2)), i = 2..n
-    return [_one() + Poly(("x",), {(i // 2,): (-1) ** (i - 1)}) for i in range(2, n + 1)]
+def _factor_polys(table, vars_: tuple[str, ...] = ("x",), var: int = 0) -> list[Poly]:
+    """The factors of a table as polynomials in vars_[var], repeated m times."""
+    def power(k: int) -> tuple[int, ...]:
+        return tuple(k if i == var else 0 for i in range(len(vars_)))
 
-
-def _a_display(n: int) -> str:
-    return " ".join(
-        f"(1{'+' if (-1) ** (i - 1) > 0 else '-'}x^{i // 2})" for i in range(2, n + 1)
-    )
-
-
-def _geo(k: int) -> Poly:
-    return _one() - _x(k)
+    return [
+        Poly(vars_, {power(0): 1, power(k): sign})
+        for k, sign, m in table
+        for _ in range(m)
+    ]
 
 
 def predicted_gf(ctype: CartanType, printed_form: bool = False) -> Poly:
@@ -261,64 +280,14 @@ def predicted_gf(ctype: CartanType, printed_form: bool = False) -> Poly:
     which disagrees with the enumerated series except at n = 1; keeping both
     on record is deliberate.
     """
-    fam, n = ctype.family, ctype.rank
-    if fam == "A":
-        return expand_product(_a_factors(n + 1), ("x",))
-    if fam == "B":
-        return expand_product([_geo(i) for i in range(1, n + 1)], ("x",))
-    if fam == "C":
-        if printed_form:
-            h = (n + 1) // 2
-            return expand_product(
-                [_geo(h)] + [_geo(2 * k) for k in range(1, h + 1)] * 2, ("x",)
-            )
-        if n % 2 == 0:
-            h = n // 2
-            factors = [_geo(h)]
-            factors += [_geo(2 * k) for k in range(1, h)]
-            factors += [_geo(2 * k) for k in range(1, h + 1)]
-        else:
-            h = (n + 1) // 2
-            factors = [_geo(h)] + [_geo(2 * k) for k in range(1, h)] * 2
-        return expand_product(factors, ("x",))
-    if fam == "D":
-        # square of the type A form at the same window size
-        return expand_product(_a_factors(n) * 2, ("x",))
-    if (fam, n) == ("F", 4):
-        return expand_product([_geo(2), _geo(2), _geo(4), _geo(4)], ("x",))
-    if (fam, n) == ("E", 6):
-        return expand_product([_geo(2), _geo(4), _geo(6), _geo(8)], ("x",))
-    if (fam, n) == ("E", 7):
-        return expand_product([_geo(i) for i in range(2, 9)], ("x",))
-    raise NoPrediction(f"no closed form on record for {ctype}")
+    return expand_product(_factor_polys(_factor_table(ctype, printed_form)), ("x",))
 
 
 def predicted_display(ctype: CartanType, printed_form: bool = False) -> str:
-    fam, n = ctype.family, ctype.rank
-    if fam == "A":
-        return _a_display(n + 1)
-    if fam == "B":
-        return " ".join(f"(1-x^{i})" for i in range(1, n + 1))
-    if fam == "C":
-        h = (n + 1) // 2
-        if printed_form:
-            return f"(1-x^{h}) " + " ".join(f"(1-x^{2 * k})^2" for k in range(1, h + 1))
-        if n % 2 == 0:
-            return (
-                f"(1-x^{n // 2}) "
-                + " ".join(f"(1-x^{2 * k})^2" for k in range(1, n // 2))
-                + f" (1-x^{n})"
-            )
-        return f"(1-x^{h}) " + " ".join(f"(1-x^{2 * k})^2" for k in range(1, h))
-    if fam == "D":
-        return " ".join(f"{p}^2" for p in _a_display(n).split())
-    if (fam, n) == ("F", 4):
-        return "(1-x^2)^2 (1-x^4)^2"
-    if (fam, n) == ("E", 6):
-        return "(1-x^2) (1-x^4) (1-x^6) (1-x^8)"
-    if (fam, n) == ("E", 7):
-        return " ".join(f"(1-x^{i})" for i in range(2, 9))
-    raise NoPrediction(f"no closed form on record for {ctype}")
+    return " ".join(
+        f"(1{'+' if sign > 0 else '-'}x^{k})" + (f"^{m}" if m > 1 else "")
+        for k, sign, m in _factor_table(ctype, printed_form)
+    )
 
 
 def _mono(vars_, **powers) -> Poly:
@@ -328,9 +297,13 @@ def _mono(vars_, **powers) -> Poly:
 
 def predicted_multivariate(identity_id: str, n: int) -> Poly:
     """Closed forms of the multivariate identities, by profile name."""
+    if identity_id not in _PROFILE_TABLE:
+        raise NoPrediction(f"no multivariate form on record for {identity_id!r}")
+    lo, hi = _PROFILE_TABLE[identity_id][3:]
+    if n < lo or (hi is not None and n > hi):
+        upper = "" if hi is None else f" <= {hi}"
+        raise OutOfStatedRange(f"{identity_id} is stated for {lo} <= n{upper}")
     if identity_id == "B-4var":
-        if n < 1:
-            raise OutOfStatedRange("stated for n >= 1")
         v = ("x1", "x2", "y", "z")
         one = Poly.const(1, v)
         factors = [
@@ -343,8 +316,6 @@ def predicted_multivariate(identity_id: str, n: int) -> Poly:
             factors.append(one - _mono(v, x1=1, z=(n - 1) // 2))
         return expand_product(factors, v)
     if identity_id in ("B-ooo", "B-eoo"):
-        if n < 1:
-            raise OutOfStatedRange("stated for n >= 1")
         v = ("x", "y", "z")
         one = Poly.const(1, v)
         if identity_id == "B-eoo" and n % 2 == 1:
@@ -363,41 +334,32 @@ def predicted_multivariate(identity_id: str, n: int) -> Poly:
             return expand_product([head, mid] + shared, v)
         return expand_product([head] + shared, v)
     if identity_id in ("uni-ooe", "uni-eoe", "uni-eoo"):
-        if n < 3:
-            raise OutOfStatedRange("stated for n >= 3")
         if identity_id == "uni-eoo":
             return Poly.zero(("x",))
         head = (n + 1) // 2 if identity_id == "uni-ooe" else n // 2
-        return expand_product([_geo(head)] + [_geo(i) for i in range(1, n)], ("x",))
+        table = [(head, -1, 1)] + _factor_table(CartanType("B", n - 1))
+        return expand_product(_factor_polys(table), ("x",))
     if identity_id == "D-bivar":
-        if n < 2:
-            raise OutOfStatedRange("stated for n >= 2")
+        # the type A form at window size n, once in x and once in y
         v = ("x", "y")
-        fa = expand_product(_a_factors(n), ("x",))
-        px = Poly(v, {(e[0], 0): c for e, c in fa.terms.items()})
-        py = Poly(v, {(0, e[0]): c for e, c in fa.terms.items()})
-        return px * py
+        table = _factor_table(CartanType("A", n - 1))
+        return expand_product(_factor_polys(table, v, 0) + _factor_polys(table, v, 1), v)
     if identity_id == "D-oe":
-        if n < 2:
-            raise OutOfStatedRange("stated for n >= 2")
         return Poly.zero(("x", "y"))
-    if identity_id == "B-nonfactor":
-        if n != 4:
-            raise OutOfStatedRange("recorded for n = 4 only")
-        v = ("x1", "x2", "y", "z")
-        one = Poly.const(1, v)
-        tail = (
-            one
-            + _mono(v, x1=1, x2=1, y=2, z=2)
-            - _mono(v, x1=1, x2=1, z=2)
-            - _mono(v, x2=1, y=2, z=2)
-            + _mono(v, x1=1, z=2)
-            + _mono(v, x2=1, y=2)
-            - _mono(v, x1=1)
-            - _mono(v, y=2)
-        )
-        return (one - _mono(v, y=2)) * (one - _mono(v, x1=1, x2=1, z=2)) * tail
-    raise NoPrediction(f"no multivariate form on record for {identity_id!r}")
+    # B-nonfactor, recorded at n = 4 only
+    v = ("x1", "x2", "y", "z")
+    one = Poly.const(1, v)
+    tail = (
+        one
+        + _mono(v, x1=1, x2=1, y=2, z=2)
+        - _mono(v, x1=1, x2=1, z=2)
+        - _mono(v, x2=1, y=2, z=2)
+        + _mono(v, x1=1, z=2)
+        + _mono(v, x2=1, y=2)
+        - _mono(v, x1=1)
+        - _mono(v, y=2)
+    )
+    return (one - _mono(v, y=2)) * (one - _mono(v, x1=1, x2=1, z=2)) * tail
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +387,9 @@ class VerifyReport:
 
 def verify_univariate(ctype: CartanType, printed_form: bool = False) -> VerifyReport:
     start = time.perf_counter()
+    _factor_table(ctype, printed_form)  # NoPrediction before any work
+    computed = signed_gf(ctype).poly  # the element budget before the expansion
     predicted = predicted_gf(ctype, printed_form=printed_form)
-    computed = signed_gf(ctype).poly
     tag = f"odd-length {ctype}" + (" (printed C form)" if printed_form else "")
     return VerifyReport(
         tag, computed == predicted, computed, predicted, time.perf_counter() - start
@@ -435,8 +398,7 @@ def verify_univariate(ctype: CartanType, printed_form: bool = False) -> VerifyRe
 
 def verify_multivariate(identity_id: str, n: int) -> VerifyReport:
     start = time.perf_counter()
-    family = "D" if identity_id.startswith("D-") else "B"
-    ctype = CartanType(family, n)
+    ctype = CartanType(_profile_entry(identity_id)[2], n)
     computed = signed_gf(ctype, identity_id).poly
     predicted = predicted_multivariate(identity_id, n)
     return VerifyReport(
@@ -479,6 +441,10 @@ def verification_suite(
     def want(fam: str) -> bool:
         return families is None or fam in families
 
+    def stated(identity_id: str) -> range:
+        lo, hi = _PROFILE_TABLE[identity_id][3:]
+        return range(lo, min(multivariate_max_n, hi or multivariate_max_n) + 1)
+
     if want("A"):
         for n in range(2, max_n + 1):
             reports.append(verify_univariate(CartanType("A", n - 1)))
@@ -492,16 +458,14 @@ def verification_suite(
     if want("B"):
         for n in range(1, max_n + 1):
             reports.append(verify_univariate(CartanType("B", n)))
-        for n in range(1, multivariate_max_n + 1):
-            reports.append(verify_multivariate("B-4var", n))
-            reports.append(verify_multivariate("B-ooo", n))
-            reports.append(verify_multivariate("B-eoo", n))
-        for n in range(3, multivariate_max_n + 1):
-            reports.append(verify_multivariate("uni-ooe", n))
-            reports.append(verify_multivariate("uni-eoe", n))
-            reports.append(verify_multivariate("uni-eoo", n))
-        if multivariate_max_n >= 4:
-            reports.append(verify_multivariate("B-nonfactor", 4))
+        # the identities of one group share a stated range
+        for group in (
+            ("B-4var", "B-ooo", "B-eoo"),
+            ("uni-ooe", "uni-eoe", "uni-eoo"),
+            ("B-nonfactor",),
+        ):
+            for n in stated(group[0]):
+                reports += [verify_multivariate(name, n) for name in group]
     if want("C"):
         for n in range(2, max_n + 1):
             reports.append(verify_univariate(CartanType("C", n)))
@@ -513,15 +477,12 @@ def verification_suite(
     if want("D"):
         for n in range(2, max_n + 1):
             reports.append(verify_univariate(CartanType("D", n)))
-        for n in range(2, multivariate_max_n + 1):
-            reports.append(verify_multivariate("D-bivar", n))
-            reports.append(verify_multivariate("D-oe", n))
-            reports.append(
-                verify_restriction(CartanType("D", n), "D-bivar", "chessboard")
-            )
-            reports.append(
-                verify_restriction(CartanType("D", n), "D-bivar", "good-chessboard")
-            )
+        for n in stated("D-bivar"):
+            reports += [verify_multivariate(name, n) for name in ("D-bivar", "D-oe")]
+            reports += [
+                verify_restriction(CartanType("D", n), "D-bivar", restriction)
+                for restriction in ("chessboard", "good-chessboard")
+            ]
     if include_exceptional:
         for name in ("F4", "E6", "E7"):
             if want(name[0]):

@@ -13,11 +13,13 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .cartan import CartanType
 from .errors import InvalidWindow, IsChessboard, NoPeak, NotApplicable
 
 __all__ = [
     "StatisticId",
     "SignedPermutation",
+    "check_window",
     "ElementClass",
     "DecompositionD",
     "compute_statistic",
@@ -136,6 +138,19 @@ class SignedPermutation:
 
     def __str__(self) -> str:
         return "[" + ",".join(str(v) for v in self.window) + "]"
+
+
+def check_window(ctype: CartanType, window: SignedPermutation | Sequence[int]) -> SignedPermutation:
+    """window as an element of the classical group of ctype, else InvalidWindow."""
+    sigma = window if isinstance(window, SignedPermutation) else SignedPermutation.of(window)
+    n = ctype.window_size
+    if sigma.n != n:
+        raise InvalidWindow(f"{ctype} wants a window of size {n}, got {sigma.n}")
+    if ctype.family == "A" and not sigma.is_plain:
+        raise InvalidWindow("type A windows cannot contain negative entries")
+    if ctype.family == "D" and not sigma.is_even_signed:
+        raise InvalidWindow("type D windows need an even number of negative entries")
+    return sigma
 
 
 def _window(sigma: SignedPermutation | Sequence[int]) -> tuple[int, ...]:

@@ -18,10 +18,10 @@ from .cartan import CartanType, RootSystem, group_order
 from .errors import (
     BudgetExceeded,
     IndexOutOfRange,
-    InvalidWindow,
     SystemMismatch,
     TypeMismatch,
 )
+from .stats import check_window
 
 __all__ = [
     "WeylElement",
@@ -33,6 +33,7 @@ __all__ = [
     "window_to_element",
     "element_to_window",
     "enumerate_group",
+    "check_budget",
     "transversal_chain",
     "conjugate_simple_system",
     "ConjugatedRootSystem",
@@ -40,6 +41,18 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**8
+
+
+def check_budget(ctype: CartanType, budget: int = DEFAULT_BUDGET) -> int:
+    """Order of the group of ctype; BudgetExceeded when it is past budget."""
+    order = group_order(ctype)
+    if order > budget:
+        size = order if order < 10**15 else f"about 10^{len(str(order)) - 1}"
+        raise BudgetExceeded(
+            f"{ctype} has {size} elements, past the element budget {budget};"
+            " opt in with gf --allow-large (allow_large=True in run_partitioned)"
+        )
+    return order
 
 
 class WeylElement:
@@ -113,24 +126,12 @@ def odd_length_by_roots(w: WeylElement) -> int:
 # ---------------------------------------------------------------------------
 # window representation for the classical families
 
-def _check_window(ctype: CartanType, window: Sequence[int]) -> tuple[int, ...]:
-    n = ctype.window_size
-    w = tuple(int(x) for x in window)
-    if len(w) != n or sorted(abs(x) for x in w) != list(range(1, n + 1)):
-        raise InvalidWindow(f"{list(window)} is not a signed permutation window of size {n}")
-    if ctype.family == "A" and any(x < 0 for x in w):
-        raise InvalidWindow("type A windows must be plain permutations")
-    if ctype.family == "D" and sum(x < 0 for x in w) % 2:
-        raise InvalidWindow("type D windows need an even number of negative entries")
-    return w
-
-
 def window_to_element(system: RootSystem, window: Sequence[int]) -> WeylElement:
     """Element acting by e_i -> sign(w(i)) e_{|w(i)|} for window w."""
     ctype = system.ctype
     if not ctype.is_classical:
         raise TypeMismatch(f"{ctype} has no window representation")
-    w = _check_window(ctype, window)
+    w = check_window(ctype, window).window
     vectors = system.ambient_vectors
     lookup = {v: k for k, v in enumerate(vectors)}
     n = len(w)
@@ -168,8 +169,9 @@ def element_to_window(w: WeylElement) -> tuple[int, ...]:
         s *= sign
         return [s * c for c in v]
 
+    lookup = {v: k for k, v in enumerate(vectors)}
+
     def root_index(vec: tuple[int, ...]) -> tuple[int, int]:
-        lookup = {v: k for k, v in enumerate(vectors)}
         if vec in lookup:
             return lookup[vec], 1
         return lookup[tuple(-c for c in vec)], -1
@@ -274,11 +276,7 @@ def enumerate_group(
     Raises BudgetExceeded up front when the group is larger than budget; the
     partitioned engine handles those sizes.
     """
-    order = group_order(system.ctype)
-    if order > budget:
-        raise BudgetExceeded(
-            f"group of order {order} exceeds the element budget {budget}"
-        )
+    check_budget(system.ctype, budget)
     chain = transversal_chain(system)
 
     def descend(level: int, prefix: WeylElement) -> Iterator[WeylElement]:

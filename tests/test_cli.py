@@ -1,11 +1,16 @@
 """Command line behavior: output shapes and exit codes."""
 
 import json
+import time
 
 import pytest
 
 from oddlength import cli, errors
+from oddlength.cartan import CartanType, root_system
 from oddlength.cli import main
+from oddlength.engine import run_partitioned
+from oddlength.gf import signed_gf
+from oddlength.weyl import enumerate_group, window_to_element
 
 A2_GOLDEN = '{"vars":["x"],"terms":[{"e":[0],"c":1},{"e":[2],"c":-1}]}'
 
@@ -127,6 +132,53 @@ def test_gf_large_group_needs_flag(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("call", [
+    lambda: cli.main(["gf", "--type", "E8"]),
+    lambda: signed_gf(CartanType.parse("E8")),
+    lambda: run_partitioned(CartanType.parse("E8")),
+    lambda: enumerate_group(root_system(CartanType.parse("E8"))),
+], ids=["cli", "signed_gf", "run_partitioned", "enumerate_group"])
+def test_one_budget_message_names_the_opt_in(capsys, call):
+    try:
+        code = call()
+    except errors.BudgetExceeded as exc:
+        message, code = f"error: {exc}\n", exc.exit_code
+    else:
+        message = capsys.readouterr().err
+    assert code == 3
+    assert message == (
+        "error: E8 has 696729600 elements, past the element budget 100000000;"
+        " opt in with gf --allow-large (allow_large=True in run_partitioned)\n"
+    )
+
+
+@pytest.mark.parametrize("name", ["B300", "C240"])
+def test_verify_past_the_budget_stops_before_expanding(capsys, name):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--type", name)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {name} has about 10^") and err.count("\n") == 1
+    assert "element budget" in err
+
+
+@pytest.mark.parametrize("name, window", [
+    ("B3", "1,2"),  # too short
+    ("B4", "2,-3,1"),
+    ("B3", "1,1,2"),  # not a permutation
+    ("C3", "1,2,4"),
+    ("A2", "1,-2,3"),  # signs in type A
+    ("D3", "1,2,-3"),  # odd sign count in type D
+])
+def test_one_window_validator(capsys, name, window):
+    code, out, err = run(capsys, "stats", "--type", name, "--window", window)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    values = [int(v) for v in window.split(",")]
+    with pytest.raises(errors.InvalidWindow) as raised:
+        window_to_element(root_system(CartanType.parse(name)), values)
+    assert err == f"error: {raised.value}\n"
+
+
 def test_gf_threads_match_sequential(capsys):
     code, out, _ = run(capsys, "gf", "--type", "F4", "--threads", "2", "--json")
     assert code == 0
@@ -246,8 +298,8 @@ def test_exit_code_map_covers_every_error_class():
 @pytest.mark.parametrize("cls", list(EXIT_CODES), ids=lambda c: c.__name__)
 def test_every_error_class_ends_in_its_exit_code(capsys, monkeypatch, cls):
     # most classes cannot be raised through the CLI with desk-sized input
-    # (Overflow needs verify --type C240, several seconds), so the command
-    # is made to raise each one
+    # (Overflow, for one: the element budget stops verify --type C240
+    # first), so the command is made to raise each one
     def boom(*args, **kwargs):
         raise cls("injected")
 

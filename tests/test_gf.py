@@ -1,5 +1,7 @@
 """Signed generating functions: frozen values, predictions, restrictions."""
 
+import re
+
 import pytest
 
 from oddlength.cartan import CartanType, group_order
@@ -11,6 +13,7 @@ from oddlength.errors import (
 )
 from oddlength.gf import (
     PROFILES,
+    predicted_display,
     predicted_gf,
     predicted_multivariate,
     resolve_profile,
@@ -122,6 +125,31 @@ def test_no_prediction_types():
         predicted_gf(CartanType.parse("G2"))
     with pytest.raises(NoPrediction):
         predicted_gf(CartanType.parse("E8"))
+
+
+DISPLAYED = (
+    [(CartanType(fam, n), False) for fam in "ABC" for n in range(1, 13)]
+    + [(CartanType("C", n), True) for n in range(1, 13)]
+    + [(CartanType("D", n), False) for n in range(2, 13)]
+    + [(CartanType.parse(name), False) for name in ("F4", "E6", "E7")]
+)
+
+
+@pytest.mark.parametrize(
+    "ct, printed_form", DISPLAYED, ids=[f"{ct}{'-printed' * pf}" for ct, pf in DISPLAYED]
+)
+def test_display_parses_back_to_the_closed_form(ct, printed_form):
+    text = predicted_display(ct, printed_form)
+    assert text == " ".join(text.split())  # single-spaced, nothing trailing
+    x = ("x",)
+    product = Poly.const(1, x)
+    for token in text.split(" "):
+        found = re.fullmatch(r"\(1([+-])x\^(\d+)\)(?:\^(\d+))?", token)
+        assert found, f"{ct}: cannot parse {token!r} in {text!r}"
+        sign, k, m = found.groups()
+        factor = Poly(x, {(0,): 1, (int(k),): 1 if sign == "+" else -1})
+        product = product * factor ** int(m or 1)
+    assert product == predicted_gf(ct, printed_form)
 
 
 def test_printed_form_c_form_differs():

@@ -1,0 +1,45 @@
+"""Names the benchmark harness (bench/run.py) looks up in the package.
+
+The harness imports the package, calls some of its functions and, in a
+traced run, patches others where their callers look them up.  A rename or a
+trimmed export would otherwise show up only when the benchmark runs.
+"""
+
+import importlib
+
+import pytest
+
+# module -> attribute paths that bench/run.py reads or patches
+BENCH_NAMES = {
+    "oddlength": ["CartanType", "root_system", "run_partitioned", "signed_gf", "cli"],
+    "oddlength.cli": ["main", "verification_suite"],
+    "oddlength.gf": [
+        "atomic_stats",
+        "expand_product",
+        "predicted_gf",
+        "predicted_multivariate",
+        "is_unimodal",
+        "is_chessboard",
+        "is_good_chessboard",
+    ],
+    "oddlength.engine": ["Checkpoint.write", "odd_length_gf_by_roots"],
+    "oddlength.weyl": ["transversal_chain"],
+}
+
+
+@pytest.mark.parametrize(
+    "module, path",
+    [(m, p) for m, paths in BENCH_NAMES.items() for p in paths],
+    ids=lambda v: v,
+)
+def test_bench_names_resolve(module, path):
+    importlib.import_module("oddlength.cli")  # bench/run.py imports it too
+    obj = importlib.import_module(module)
+    for part in path.split("."):
+        obj = getattr(obj, part)  # AttributeError names what went missing
+
+
+def test_package_exports_exist():
+    import oddlength
+
+    assert all(hasattr(oddlength, name) for name in oddlength.__all__)
