@@ -23,7 +23,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidRank, NonTerminating
+from .errors import IndexOutOfRange, InvalidRank, NonTerminating, Overflow
 
 __all__ = [
     "CartanType",
@@ -39,6 +39,8 @@ __all__ = [
 Coords = tuple[int, ...]
 
 _EXCEPTIONAL_RANK = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
+
+_MAX_ROOTS = int(np.iinfo(np.int16).max)  # root indices are int16 (weyl, engine)
 
 # Edges of the simply laced E diagrams, Bourbaki numbering shifted to 0-based.
 _E8_EDGES = ((0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3))
@@ -322,14 +324,19 @@ def _ambient_simple_vectors(ctype: CartanType) -> list[tuple[int, ...]]:
 
 def build_root_system(ctype: CartanType) -> RootSystem:
     """Construct the root system of ctype by reflection closure."""
+    count = positive_root_count(ctype)
+    if count > _MAX_ROOTS:
+        raise Overflow(
+            f"{ctype} has {count} positive roots, past the {_MAX_ROOTS} that"
+            " int16 root indices can hold"
+        )
     r = ctype.rank
     simples: list[Coords] = [tuple(int(i == j) for i in range(r)) for j in range(r)]
     positive = _close_positive_roots(ctype, simples)
     system = RootSystem(ctype, sorted(positive))
-    if system.size != positive_root_count(ctype):
+    if system.size != count:
         raise NonTerminating(
-            f"closure produced {system.size} roots for {ctype}, "
-            f"expected {positive_root_count(ctype)}"
+            f"closure produced {system.size} roots for {ctype}, expected {count}"
         )
     return system
 

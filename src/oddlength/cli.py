@@ -185,29 +185,22 @@ def _suite_for(args, parser):
         if not args.family:
             parser.error("--rank needs --family")
         spec = args.family + ("" if args.rank is None else str(args.rank))
-    if not spec:
-        return verification_suite(
-            max_n=args.max_n,
-            multivariate_max_n=min(args.max_n, 6),
-            include_printed_form=args.printed_form,
-        )
-    t = spec.strip().upper()
-    if len(t) == 1:
+    families = None
+    if spec:
+        t = spec.strip().upper()
+        if len(t) != 1:
+            ct = CartanType.parse(t)
+            reports = [verify_univariate(ct)]
+            if args.printed_form and ct.family == "C":
+                reports.append(verify_univariate(ct, printed_form=True))
+            return reports
         if t not in "ABCD":
             parser.error("family-wide verify supports A, B, C, D; exceptional "
                          "types are verified one at a time, e.g. --type F4")
-        return verification_suite(
-            max_n=args.max_n,
-            multivariate_max_n=min(args.max_n, 6),
-            include_exceptional=False,
-            include_printed_form=args.printed_form,
-            families=(t,),
-        )
-    ct = CartanType.parse(t)
-    reports = [verify_univariate(ct)]
-    if args.printed_form and ct.family == "C":
-        reports.append(verify_univariate(ct, printed_form=True))
-    return reports
+        families = (t,)
+    return verification_suite(
+        max_n=args.max_n, include_printed_form=args.printed_form, families=families
+    )
 
 
 def _cmd_verify(args, parser) -> int:

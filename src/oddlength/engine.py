@@ -55,10 +55,10 @@ from .poly import Poly
 from .weyl import (
     DEFAULT_BUDGET,
     WeylElement,
+    _sift,
     check_budget,
     identity,
     multiply,
-    simple_reflection,
     transversal_chain,
 )
 
@@ -85,19 +85,6 @@ def _stacked(system: RootSystem, levels: list[list[WeylElement]], columns: np.nd
         tgt = utgt[:, tgt].reshape(-1, len(columns))
         parity = ((upar[:, None] + parity) & 1).ravel()
     return tgt, neg, parity
-
-
-def _longest_element(system: RootSystem, j_limit: int) -> WeylElement:
-    """Longest element of the parabolic subgroup on the simple reflections
-    below j_limit, grown one reflection at a time until it negates them all."""
-    w = identity(system)
-    while True:
-        for j in range(j_limit):
-            if not w.neg[system.simple_index[j]]:
-                w = multiply(w, simple_reflection(system, j))
-                break
-        else:
-            return w
 
 
 @dataclass
@@ -160,8 +147,8 @@ class _Split:
 
         # w0 q W_J has the minimal representative w0 q w0_J, w0_J longest in W_J
         parts = chain[0]
-        w0 = _longest_element(system, system.rank)
-        w0_j = _longest_element(system, system.rank - 1)
+        w0 = _sift(identity(system), system.rank, longest=True)
+        w0_j = _sift(identity(system), system.rank - 1, longest=True)
         index = {q.key(): i for i, q in enumerate(parts)}
         mirror = [index[multiply(multiply(w0, q), w0_j).key()] for q in parts]
         return cls(
@@ -251,6 +238,10 @@ def odd_length_gf_by_roots(system: RootSystem, *, unsigned: bool = False) -> Pol
 # ---------------------------------------------------------------------------
 # checkpoints
 
+def _checkpoint_digest(body: dict) -> str:
+    return hashlib.sha256(json.dumps(body, separators=(",", ":")).encode()).hexdigest()
+
+
 class Checkpoint:
     """Resumable partial sum over parts, written atomically by rename."""
 
@@ -269,10 +260,7 @@ class Checkpoint:
             "done": sorted(self.done),
             "partial": self.partial.to_json_dict(),
         }
-        digest = hashlib.sha256(
-            json.dumps(body, separators=(",", ":")).encode()
-        ).hexdigest()
-        return {**body, "hash": digest}
+        return {**body, "hash": _checkpoint_digest(body)}
 
     def write(self, path: str) -> None:
         tmp = path + ".tmp"
@@ -288,10 +276,7 @@ class Checkpoint:
         except (OSError, json.JSONDecodeError) as exc:
             raise CheckpointCorrupt(f"cannot read checkpoint {path}: {exc}") from exc
         body = {k: data.get(k) for k in ("ctype", "profile", "n_parts", "done", "partial")}
-        digest = hashlib.sha256(
-            json.dumps(body, separators=(",", ":")).encode()
-        ).hexdigest()
-        if data.get("hash") != digest:
+        if data.get("hash") != _checkpoint_digest(body):
             raise CheckpointCorrupt(f"checkpoint {path} failed its integrity hash")
         if body["ctype"] != str(ctype) or body["profile"] != profile or body["n_parts"] != n_parts:
             raise CheckpointCorrupt(

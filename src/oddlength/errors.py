@@ -67,7 +67,7 @@ class VarMismatch(OddLengthError):
 
 
 class Overflow(OddLengthError):
-    """Coefficient or evaluation left the checked 64-bit range."""
+    """A coefficient, evaluation or root count past its checked integer range."""
     exit_code = 3
 
 

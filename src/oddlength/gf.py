@@ -261,16 +261,25 @@ def _factor_table(ctype: CartanType, printed_form: bool = False) -> list[tuple[i
     raise NoPrediction(f"no closed form on record for {ctype}")
 
 
-def _factor_polys(table, vars_: tuple[str, ...] = ("x",), var: int = 0) -> list[Poly]:
-    """The factors of a table as polynomials in vars_[var], repeated m times."""
-    def power(k: int) -> tuple[int, ...]:
-        return tuple(k if i == var else 0 for i in range(len(vars_)))
+def _binomials(table, nvars: int = 1, var: int = 0) -> list[tuple[dict, int]]:
+    """Univariate entries (k, sign, m) as factors in variable var of nvars."""
+    unit = [int(i == var) for i in range(nvars)]
+    return [({(0,) * nvars: 1, tuple(k * u for u in unit): sign}, m) for k, sign, m in table]
 
-    return [
-        Poly(vars_, {power(0): 1, power(k): sign})
-        for k, sign, m in table
-        for _ in range(m)
-    ]
+
+def _one_minus(*expo: int) -> tuple[dict, int]:
+    """The factor 1 - monomial, once."""
+    return {(0,) * len(expo): 1, expo: -1}, 1
+
+
+def _expand(vars_: tuple[str, ...], factors: list[tuple[dict, int]] | None) -> Poly:
+    """Multiply out factors (terms, m), each a term dict taken m times; None
+    stands for a series that is zero."""
+    if factors is None:
+        return Poly.zero(vars_)
+    return expand_product(
+        [Poly(vars_, terms) for terms, m in factors for _ in range(m)], vars_
+    )
 
 
 def predicted_gf(ctype: CartanType, printed_form: bool = False) -> Poly:
@@ -280,7 +289,7 @@ def predicted_gf(ctype: CartanType, printed_form: bool = False) -> Poly:
     which disagrees with the enumerated series except at n = 1; keeping both
     on record is deliberate.
     """
-    return expand_product(_factor_polys(_factor_table(ctype, printed_form)), ("x",))
+    return _expand(("x",), _binomials(_factor_table(ctype, printed_form)))
 
 
 def predicted_display(ctype: CartanType, printed_form: bool = False) -> str:
@@ -290,76 +299,51 @@ def predicted_display(ctype: CartanType, printed_form: bool = False) -> str:
     )
 
 
-def _mono(vars_, **powers) -> Poly:
-    expo = tuple(powers.get(v, 0) for v in vars_)
-    return Poly(vars_, {expo: 1})
+def _multivariate_factors(identity_id: str, n: int) -> list[tuple[dict, int]] | None:
+    """Closed form of a multivariate identity as factors (terms, m) over its
+    profile's variables, or None where its series is zero."""
+    if identity_id in ("uni-eoo", "D-oe") or (identity_id == "B-eoo" and n % 2):
+        return None
+    if identity_id == "B-4var":  # x1 x2 y z
+        return (
+            _binomials([((i + 1) // 2, (-1) ** i, 1) for i in range(1, n)], 4, 2)
+            + [_one_minus(1, 1, 0, 2 * i) for i in range(n // 2)]
+            + ([_one_minus(1, 0, 0, (n - 1) // 2)] if n % 2 else [])
+        )
+    if identity_id in ("B-ooo", "B-eoo"):  # x y z
+        factors = [_one_minus(1, 0, 0)]
+        for i in range(1, (n - 1) // 2 + 1):
+            factors += [_one_minus(1, 0, 2 * i), _one_minus(0, 2 * i, 0)]
+        h = n // 2
+        if n % 2 == 0 and identity_id == "B-ooo":
+            factors.append(_one_minus(0, h, h))
+        elif n % 2 == 0:
+            factors.append(({(0, 0, h): 1, (0, h, 0): -1}, 1))  # z^h - y^h
+        return factors
+    if identity_id in ("uni-ooe", "uni-eoe"):
+        head = (n + 1) // 2 if identity_id == "uni-ooe" else n // 2
+        return _binomials([(head, -1, 1)] + _factor_table(CartanType("B", n - 1)))
+    if identity_id == "D-bivar":
+        # the type A form at window size n, once in x and once in y
+        table = _factor_table(CartanType("A", n - 1))
+        return _binomials(table, 2, 0) + _binomials(table, 2, 1)
+    # B-nonfactor (x1 x2 y z), recorded at n = 4 only, with its 8-term tail
+    tail = {
+        (0, 0, 0, 0): 1, (1, 1, 2, 2): 1, (1, 1, 0, 2): -1, (0, 1, 2, 2): -1,
+        (1, 0, 0, 2): 1, (0, 1, 2, 0): 1, (1, 0, 0, 0): -1, (0, 0, 2, 0): -1,
+    }
+    return [_one_minus(0, 0, 2, 0), _one_minus(1, 1, 0, 2), (tail, 1)]
 
 
 def predicted_multivariate(identity_id: str, n: int) -> Poly:
     """Closed forms of the multivariate identities, by profile name."""
     if identity_id not in _PROFILE_TABLE:
         raise NoPrediction(f"no multivariate form on record for {identity_id!r}")
-    lo, hi = _PROFILE_TABLE[identity_id][3:]
+    vars_, _, _, lo, hi = _PROFILE_TABLE[identity_id]
     if n < lo or (hi is not None and n > hi):
         upper = "" if hi is None else f" <= {hi}"
         raise OutOfStatedRange(f"{identity_id} is stated for {lo} <= n{upper}")
-    if identity_id == "B-4var":
-        v = ("x1", "x2", "y", "z")
-        one = Poly.const(1, v)
-        factors = [
-            one + Poly(v, {(0, 0, (i + 1) // 2, 0): (-1) ** i}) for i in range(1, n)
-        ]
-        factors += [
-            one - _mono(v, x1=1, x2=1, z=2 * i) for i in range(0, (n - 2) // 2 + 1)
-        ]
-        if n % 2 == 1:
-            factors.append(one - _mono(v, x1=1, z=(n - 1) // 2))
-        return expand_product(factors, v)
-    if identity_id in ("B-ooo", "B-eoo"):
-        v = ("x", "y", "z")
-        one = Poly.const(1, v)
-        if identity_id == "B-eoo" and n % 2 == 1:
-            return Poly.zero(v)
-        shared = []
-        for i in range(1, (n - 1) // 2 + 1):
-            shared.append(one - _mono(v, x=1, z=2 * i))
-            shared.append(one - _mono(v, y=2 * i))
-        head = one - _mono(v, x=1)
-        if n % 2 == 0:
-            half = n // 2
-            if identity_id == "B-ooo":
-                mid = one - _mono(v, y=half, z=half)
-            else:
-                mid = _mono(v, z=half) - _mono(v, y=half)
-            return expand_product([head, mid] + shared, v)
-        return expand_product([head] + shared, v)
-    if identity_id in ("uni-ooe", "uni-eoe", "uni-eoo"):
-        if identity_id == "uni-eoo":
-            return Poly.zero(("x",))
-        head = (n + 1) // 2 if identity_id == "uni-ooe" else n // 2
-        table = [(head, -1, 1)] + _factor_table(CartanType("B", n - 1))
-        return expand_product(_factor_polys(table), ("x",))
-    if identity_id == "D-bivar":
-        # the type A form at window size n, once in x and once in y
-        v = ("x", "y")
-        table = _factor_table(CartanType("A", n - 1))
-        return expand_product(_factor_polys(table, v, 0) + _factor_polys(table, v, 1), v)
-    if identity_id == "D-oe":
-        return Poly.zero(("x", "y"))
-    # B-nonfactor, recorded at n = 4 only
-    v = ("x1", "x2", "y", "z")
-    one = Poly.const(1, v)
-    tail = (
-        one
-        + _mono(v, x1=1, x2=1, y=2, z=2)
-        - _mono(v, x1=1, x2=1, z=2)
-        - _mono(v, x2=1, y=2, z=2)
-        + _mono(v, x1=1, z=2)
-        + _mono(v, x2=1, y=2)
-        - _mono(v, x1=1)
-        - _mono(v, y=2)
-    )
-    return (one - _mono(v, y=2)) * (one - _mono(v, x1=1, x2=1, z=2)) * tail
+    return _expand(vars_, _multivariate_factors(identity_id, n))
 
 
 # ---------------------------------------------------------------------------
@@ -429,21 +413,21 @@ def verify_restriction(
 def verification_suite(
     max_n: int = 8,
     *,
-    multivariate_max_n: int = 6,
-    include_exceptional: bool = True,
     include_printed_form: bool = False,
     families: tuple[str, ...] | None = None,
 ) -> list[VerifyReport]:
     """The desk-scale identity suite; every report should pass except the
-    deliberately recorded printed type C form."""
+    deliberately recorded printed type C form.  The multivariate identities
+    stop at n = min(max_n, 6)."""
     reports: list[VerifyReport] = []
+    top = min(max_n, 6)
 
     def want(fam: str) -> bool:
         return families is None or fam in families
 
     def stated(identity_id: str) -> range:
         lo, hi = _PROFILE_TABLE[identity_id][3:]
-        return range(lo, min(multivariate_max_n, hi or multivariate_max_n) + 1)
+        return range(lo, min(top, hi or top) + 1)
 
     if want("A"):
         for n in range(2, max_n + 1):
@@ -483,8 +467,7 @@ def verification_suite(
                 verify_restriction(CartanType("D", n), "D-bivar", restriction)
                 for restriction in ("chessboard", "good-chessboard")
             ]
-    if include_exceptional:
-        for name in ("F4", "E6", "E7"):
-            if want(name[0]):
-                reports.append(verify_univariate(CartanType.parse(name)))
+    for family, rank in _EXCEPTIONAL_FACTORS:
+        if want(family):
+            reports.append(verify_univariate(CartanType(family, rank)))
     return reports

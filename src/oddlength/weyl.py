@@ -222,13 +222,15 @@ def element_to_window(w: WeylElement) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # enumeration by coset descent
 
-def _sift(w: WeylElement, j_limit: int) -> WeylElement:
-    """Minimal representative of w W_J for J = simple indices below j_limit."""
+def _sift(w: WeylElement, j_limit: int, longest: bool = False) -> WeylElement:
+    """Minimal representative of w W_J, J the simple indices below j_limit:
+    right factors s_j, j in J, until w sends every simple root of J positive.
+    With longest, until every one goes negative: the maximal representative."""
     system = w.system
     simple_at = system.simple_index
     while True:
         for j in range(j_limit):
-            if w.neg[simple_at[j]]:
+            if w.neg[simple_at[j]] != longest:
                 w = multiply(w, simple_reflection(system, j))
                 break
         else:

@@ -116,6 +116,24 @@ def test_verify_family_suite(capsys):
     assert lines and all(ln.startswith("pass") for ln in lines)
 
 
+# identity counts the benchmark's verify-cli workload asserts at --max-n 7
+@pytest.mark.parametrize("family, count", [("A", 16), ("B", 38), ("C", 6), ("D", 26)])
+def test_verify_family_counts_at_max_n_7(capsys, family, count):
+    code, out, _ = run(capsys, "verify", "--type", family, "--max-n", "7")
+    assert code == 0
+    assert out.splitlines()[-1] == f"{count}/{count} identities hold"
+
+
+@pytest.mark.parametrize("name", ["A256", "B182"])
+def test_roots_past_int16_indices_exit_3(capsys, name):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "roots", "--type", name)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {name} has ") and err.count("\n") == 1
+    assert "32767" in err
+
+
 def test_verify_no_prediction_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--type", "G2")
     assert code == 2

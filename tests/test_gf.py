@@ -13,11 +13,13 @@ from oddlength.errors import (
 )
 from oddlength.gf import (
     PROFILES,
+    _PROFILE_TABLE,
     predicted_display,
     predicted_gf,
     predicted_multivariate,
     resolve_profile,
     signed_gf,
+    verification_suite,
     verify_multivariate,
     verify_restriction,
     verify_univariate,
@@ -201,6 +203,21 @@ def test_multivariate_identities_small():
     ):
         report = verify_multivariate(ident, n)
         assert report.ok, report.line()
+
+
+@pytest.mark.parametrize("identity_id", sorted(_PROFILE_TABLE))
+def test_closed_forms_match_the_engine_to_n8(identity_id):
+    # verify stops the multivariate identities at n = 6; this reaches 8
+    _, _, family, lo, hi = _PROFILE_TABLE[identity_id]
+    for n in range(lo, (hi or 8) + 1):
+        computed = signed_gf(CartanType(family, n), identity_id).poly
+        assert predicted_multivariate(identity_id, n) == computed, (identity_id, n)
+
+
+def test_suite_stops_multivariate_identities_at_max_n():
+    names = [r.name for r in verification_suite(4, families=("D",))]
+    assert "D-bivar n=4" in names and "D-bivar n=5" not in names
+    assert "odd-length D4" in names and not any("F4" in n for n in names)
 
 
 def test_trivially_zero_identities():

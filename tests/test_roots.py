@@ -10,7 +10,7 @@ from oddlength.cartan import (
     positive_root_count,
     root_system,
 )
-from oddlength.errors import InvalidRank
+from oddlength.errors import InvalidRank, Overflow
 
 
 def test_parse_and_str():
@@ -190,3 +190,10 @@ def test_canonical_order_is_deterministic():
     assert one.positive_roots == two.positive_roots
     seen = sorted(zip(one.heights, one.positive_roots))
     assert [r for _, r in seen] == list(one.positive_roots)
+
+
+@pytest.mark.parametrize("name", ["A256", "B182", "D182"])
+def test_root_systems_past_int16_indices_refused(name):
+    # refused before the closure, which would run for minutes
+    with pytest.raises(Overflow, match="32767"):
+        build_root_system(CartanType.parse(name))

@@ -10,6 +10,7 @@ from oddlength.cartan import CartanType, root_system
 from oddlength.errors import BudgetExceeded, InvalidWindow, SystemMismatch
 from oddlength.weyl import (
     ConjugatedRootSystem,
+    _sift,
     conjugate_simple_system,
     element_to_window,
     enumerate_group,
@@ -113,6 +114,7 @@ def test_longest_element_flips_everything():
         rs = root_system(CartanType.parse(name))
         best = max(enumerate_group(rs), key=length_by_roots)
         assert length_by_roots(best) == rs.size
+        assert _sift(identity(rs), rs.rank, longest=True) == best
         assert odd_length_by_roots(best) == sum(rs.odd_mask)
 
 
