@@ -20,6 +20,7 @@ from .cartan import CartanType, build_root_system
 from .engine import run_partitioned
 from .errors import InvalidRank, NoPrediction, OddLengthError
 from .gf import (
+    RESTRICTIONS,
     predicted_display,
     signed_gf,
     verification_suite,
@@ -241,8 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gf = command("gf", _cmd_gf, "compute a signed generating function")
     p_gf.add_argument("--profile", default="odd-length")
-    p_gf.add_argument("--restrict", default="full",
-                      choices=("full", "unimodal", "chessboard", "good-chessboard"))
+    p_gf.add_argument("--restrict", default="full", choices=tuple(RESTRICTIONS))
     p_gf.add_argument("--threads", type=_positive_int, default=1)
     p_gf.add_argument("--checkpoint", help="checkpoint file path")
     p_gf.add_argument("--resume", action="store_true",

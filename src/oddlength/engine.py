@@ -5,10 +5,13 @@ carries an integer weight c_a (1 on the odd roots for odd length, a mixed
 radix code of the variables counting a otherwise, see gf.root_weights), and
 an element w gets the code sum of c_a over the roots a that w sends negative.
 
-The group is cut along its parabolic chain: the outermost transversal labels
-the parts, the remaining levels are split into a per-part prefix block and a
-shared suffix block of balanced sizes.  For a part q, every element is q p s
-with p a prefix product and s a suffix product, and
+A domain is any list of levels whose products, one element per level taken
+left to right, give each of its elements once: the parabolic chain for the
+whole group, or the windows of gf._domain_levels for a restricted domain.
+The first level labels the parts, the remaining levels are split into a
+per-part prefix block and a shared suffix block of balanced sizes.  For a
+part q, every element is q p s with p a prefix product and s a suffix
+product, and
 
     code(q p s) = sum over weighted roots a of
                   c_a (flag_s(a) XOR negbit_{q p}(target_s(a)))
@@ -26,7 +29,8 @@ are integer counts, so the result is exact and independent of part order.
 
 The longest element w0 halves the work: it negates every positive root, so
 code(w0 w) = K - 1 - code(w) and length(w0 w) = N - length(w), and left
-multiplication by w0 maps each part onto another one.  The tally of that
+multiplication by w0 maps each part of the full chain onto another one
+(each part of a restricted domain is computed directly).  The tally of that
 mirror part is the reversed tally times (-1)^N, so only one part of each
 pair is computed.
 """
@@ -68,8 +72,10 @@ _BLOCK_FLOATS = 1 << 18  # codes per matrix product, small enough to stay in cac
 _PAIRED_CODES = 1 << 16  # paired codes stay below this, far inside float32's exact range
 _FLOAT32_EXACT = 1 << 24  # integers up to here are exact in float32
 
+Levels = list[list[WeylElement]]  # one element per level, multiplied left to right
 
-def _stacked(system: RootSystem, levels: list[list[WeylElement]], columns: np.ndarray):
+
+def _stacked(system: RootSystem, levels: Levels, columns: np.ndarray):
     """All products of one representative per level, earlier levels slowest,
     as stacked (tgt, neg, parity) arrays with one row per product, restricted
     to the given root columns.  Built right to left, one gather per level:
@@ -103,8 +109,11 @@ class _Split:
     ints: np.ndarray                  # the same codes as intp, reused
 
     @classmethod
-    def build(cls, system: RootSystem, weights: np.ndarray | None = None) -> "_Split":
-        """Split for integer root weights, by default 1 on the odd roots."""
+    def build(
+        cls, system: RootSystem, weights: np.ndarray | None = None, levels: Levels | None = None
+    ) -> "_Split":
+        """Split of levels (the whole group's chain by default) for integer
+        root weights (1 on the odd roots by default)."""
         if weights is None:
             weights = np.array(system.odd_mask, dtype=np.int64)
         cols = np.flatnonzero(weights)
@@ -117,7 +126,7 @@ class _Split:
                 f"root weights summing to {k - 1} give codes past float32's"
                 " exact range (4K must stay within 2^24)"
             )
-        chain = transversal_chain(system)
+        chain = levels or transversal_chain(system)
         rest = chain[1:]
         sizes = [len(level) for level in rest]
         cut = min(
@@ -145,12 +154,14 @@ class _Split:
             rows[:, n] = f @ c + np.float32(k) * sparity[lo:lo + block]
         wmat[:, n + 1] = k
 
-        # w0 q W_J has the minimal representative w0 q w0_J, w0_J longest in W_J
         parts = chain[0]
-        w0 = _sift(identity(system), system.rank, longest=True)
-        w0_j = _sift(identity(system), system.rank - 1, longest=True)
-        index = {q.key(): i for i, q in enumerate(parts)}
-        mirror = [index[multiply(multiply(w0, q), w0_j).key()] for q in parts]
+        mirror = list(range(len(parts)))  # a restricted part is its own mirror
+        if levels is None:
+            # w0 q W_J has the minimal representative w0 q w0_J, w0_J longest in W_J
+            w0 = _sift(identity(system), system.rank, longest=True)
+            w0_j = _sift(identity(system), system.rank - 1, longest=True)
+            index = {q.key(): i for i, q in enumerate(parts)}
+            mirror = [index[multiply(multiply(w0, q), w0_j).key()] for q in parts]
         return cls(
             system, parts, mirror, ptgt, pneg, pparity, wmat, k, digits, block, codes, ints
         )
@@ -215,11 +226,16 @@ def _coeffs_to_poly(
 
 
 def profile_gf_by_roots(
-    system: RootSystem, profile: ResolvedProfile, *, unsigned: bool = False
+    system: RootSystem,
+    profile: ResolvedProfile,
+    *,
+    unsigned: bool = False,
+    levels: Levels | None = None,
 ) -> Poly:
-    """Sequential signed generating function of a full-group profile."""
+    """Sequential signed generating function of a profile over the domain of
+    levels, by default the whole group."""
     weights, dims = root_weights(profile, system)
-    split = _Split.build(system, weights)
+    split = _Split.build(system, weights, levels)
     total = np.zeros(split.k, dtype=np.int64)
     for i, m in split.pairs(range(len(split.parts))):
         coeffs = split.part_coeffs(i, unsigned=unsigned)

@@ -3,13 +3,15 @@
 A profile names the tuple of statistics carried as exponents; the sign is
 always (-1) to the Coxeter length of the element.  Over the whole group,
 every profile is a weighted count of the positive roots an element sends
-negative, computed through the root action (see engine.py); restricted
-domains are enumerated window by window.  Every closed form asserted by
-verify() is multiplied out exactly and compared term by term.
+negative, computed through the root action (see engine.py); a restricted
+domain is handed to the same engine as levels of windows whose products
+cover it once.  Every closed form asserted by verify() is multiplied out
+exactly and compared term by term.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from math import prod
@@ -22,17 +24,12 @@ from .errors import (
     OutOfStatedRange,
     UnsupportedProfile,
 )
+from . import stats
 from .poly import Poly, expand_product
-from .stats import (
-    StatisticId,
-    SignedPermutation,
-    atomic_stats,
-    COMPOSITE,
-    is_chessboard,
-    is_good_chessboard,
-    is_unimodal,
-)
-from .weyl import DEFAULT_BUDGET, check_budget, iter_group_windows
+from .stats import StatisticId, COMPOSITE
+# not called here; bench/run.py patches them to count per-window work (tests/test_tooling.py)
+from .stats import atomic_stats, is_chessboard, is_good_chessboard, is_unimodal  # noqa: F401
+from .weyl import DEFAULT_BUDGET, check_budget, window_to_element
 
 __all__ = [
     "ResolvedProfile",
@@ -54,13 +51,7 @@ __all__ = [
 
 _S = StatisticId
 
-_ODD_LENGTH_BY_FAMILY: dict[str, tuple[_S, _S]] = {
-    # family -> (odd-length statistic, Coxeter length giving the sign)
-    "A": (_S.L_A, _S.len_A),
-    "B": (_S.L_B, _S.len_B),
-    "C": (_S.L_C, _S.len_B),
-    "D": (_S.L_D, _S.len_D),
-}
+_ODD_LENGTH_BY_FAMILY: dict[str, _S] = {"A": _S.L_A, "B": _S.L_B, "C": _S.L_C, "D": _S.L_D}
 
 # profile -> variables, window statistics, family, and the range of n its
 # identity is stated for (lowest, highest or None); the sign is the
@@ -93,7 +84,6 @@ class ResolvedProfile:
     name: str
     vars: tuple[str, ...]
     window_stats: tuple[_S, ...] | None  # None: odd length through root action
-    sign_stat: _S | None
 
 
 def _profile_entry(name: str):
@@ -105,13 +95,12 @@ def _profile_entry(name: str):
 def resolve_profile(name: str, ctype: CartanType) -> ResolvedProfile:
     if name == "odd-length":
         if ctype.is_classical:
-            stat, sign = _ODD_LENGTH_BY_FAMILY[ctype.family]
-            return ResolvedProfile(name, ("x",), (stat,), sign)
-        return ResolvedProfile(name, ("x",), None, None)
-    vars_, stats, family, _, _ = _profile_entry(name)
+            return ResolvedProfile(name, ("x",), (_ODD_LENGTH_BY_FAMILY[ctype.family],))
+        return ResolvedProfile(name, ("x",), None)
+    vars_, window_stats, family, _, _ = _profile_entry(name)
     if ctype.family != family:
         raise UnsupportedProfile(f"profile {name!r} is defined on family {family} only")
-    return ResolvedProfile(name, vars_, stats, _ODD_LENGTH_BY_FAMILY[family][1])
+    return ResolvedProfile(name, vars_, window_stats)
 
 
 # composite atoms split by parity, the way RootSystem.root_atoms names roots
@@ -166,9 +155,12 @@ class GFResult:
 
 
 # ---------------------------------------------------------------------------
-# window enumeration of restricted domains; also the reference for the engine
+# restricted domains as levels of windows
 
-def _restriction_predicate(restriction: str, ctype: CartanType):
+def _domain_levels(restriction: str, ctype: CartanType) -> list[list[tuple[int, ...]]] | None:
+    """Windows of a restricted domain in levels: every element of the domain
+    is the product of one window per level, taken left to right, exactly
+    once.  None for the full group."""
     if restriction not in RESTRICTIONS:
         raise UnsupportedProfile(f"unknown restriction {restriction!r}")
     if ctype.family not in RESTRICTIONS[restriction]:
@@ -177,30 +169,35 @@ def _restriction_predicate(restriction: str, ctype: CartanType):
         )
     if restriction == "full":
         return None
+    n = ctype.window_size
+    ident = tuple(range(1, n + 1))
     if restriction == "unimodal":
-        return is_unimodal
-    if restriction == "chessboard":
-        return is_chessboard
-    return lambda win: is_good_chessboard(SignedPermutation.of(win))
-
-
-def _gf_windows_python(ctype, profile, predicate, unsigned):
-    sign_parts = tuple(s.value for s in COMPOSITE[profile.sign_stat])
-    var_parts = [
-        tuple(s.value for s in COMPOSITE.get(stat, (stat,)))
-        for stat in profile.window_stats
+        # falls to 1, then rises: each of 2..n sits left or right of 1
+        return [[
+            left[::-1] + (1,) + tuple(v for v in ident[1:] if v not in left)
+            for k in range(n) for left in itertools.combinations(ident[1:], k)
+        ]]
+    # chessboard permutations c^a h: c = (2,1,4,3,...) when n is even, h
+    # permuting the odd values on the odd positions and the even on the even
+    c = tuple(i + 1 if i % 2 else i - 1 for i in ident)
+    perms = [[ident, c] if n % 2 == 0 else [ident]]
+    for spots in (ident[0::2], ident[1::2]):
+        perms.append([
+            tuple(dict(zip(spots, p)).get(i, i) for i in ident)
+            for p in itertools.permutations(spots)
+        ])
+    signs = [
+        tuple(-v if neg else v for v, neg in zip(ident, bits))
+        for bits in itertools.product((False, True), repeat=n)
+        if sum(bits) % 2 == 0
     ]
-    acc: dict[tuple[int, ...], int] = {}
-    count = 0
-    for win in iter_group_windows(ctype):
-        if predicate is not None and not predicate(win):
-            continue
-        count += 1
-        table = atomic_stats(win)
-        expo = tuple(sum(table[p] for p in parts) for parts in var_parts)
-        weight = 1 if unsigned else (-1) ** (sum(table[p] for p in sign_parts) & 1)
-        acc[expo] = acc.get(expo, 0) + weight
-    return Poly(profile.vars, acc), count
+    if restriction == "chessboard":
+        return perms if ctype.family == "A" else [signs] + perms
+    # good chessboard: tau u with tau a chessboard sorted window (a minimal
+    # coset representative) and u a chessboard permutation; the chessboard
+    # elements form a group, so no product needs a check
+    sorted_windows = [tuple(sorted(w)) for w in signs]
+    return [[tau for tau in sorted_windows if stats.is_chessboard(tau)]] + perms
 
 
 def signed_gf(
@@ -215,14 +212,15 @@ def signed_gf(
     start = time.perf_counter()
     resolved = resolve_profile(profile, ctype)
     order = check_budget(ctype, budget)
-    predicate = _restriction_predicate(restriction, ctype)
-    if predicate is None:
-        from .engine import profile_gf_by_roots  # engine imports this module
+    windows = _domain_levels(restriction, ctype)
+    system = root_system(ctype)
+    levels = None if windows is None else [
+        [window_to_element(system, w) for w in level] for level in windows
+    ]
+    from .engine import profile_gf_by_roots  # engine imports this module
 
-        poly = profile_gf_by_roots(root_system(ctype), resolved, unsigned=unsigned)
-        count = order
-    else:
-        poly, count = _gf_windows_python(ctype, resolved, predicate, unsigned)
+    poly = profile_gf_by_roots(system, resolved, unsigned=unsigned, levels=levels)
+    count = order if levels is None else prod(map(len, levels))
     return GFResult(
         poly, ctype, profile, restriction, count, time.perf_counter() - start
     )

@@ -216,6 +216,62 @@ def test_gf_checkpoint_resume_flow(capsys, tmp_path):
     assert out == one_shot
 
 
+def _f4_checkpoint(capsys, tmp_path) -> str:
+    ck = str(tmp_path / "f4.ckpt")
+    code, _, _ = run(capsys, "gf", "--type", "F4", "--checkpoint", ck,
+                     "--parts", "0,1,2,3,4,5", "--json")
+    assert code == 0
+    return ck
+
+
+def _truncate(path):
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text[: len(text) // 2])
+
+
+def _tamper(path):
+    with open(path) as fh:
+        data = json.load(fh)
+    data["done"].append(23)  # claims a part it never merged; the hash stays
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+
+
+@pytest.mark.parametrize("damage, type_name", [
+    (_truncate, "F4"),
+    (None, "E6"),  # an F4 checkpoint offered to an E6 run
+    (_tamper, "F4"),
+], ids=["truncated", "other-type", "tampered"])
+def test_gf_bad_checkpoint_exits_3(capsys, tmp_path, damage, type_name):
+    ck = _f4_checkpoint(capsys, tmp_path)
+    if damage:
+        damage(ck)
+    code, out, err = run(capsys, "gf", "--type", type_name, "--checkpoint", ck,
+                         "--resume", "--json")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_gf_resume_ignores_a_stale_tmp_file(capsys, tmp_path):
+    ck = _f4_checkpoint(capsys, tmp_path)
+    with open(ck + ".tmp", "w") as fh:
+        fh.write('{"partial": "left by a run that died mid-write"')
+    code, out, _ = run(capsys, "gf", "--type", "F4", "--checkpoint", ck,
+                       "--resume", "--json")
+    assert code == 0
+    assert out == run(capsys, "gf", "--type", "F4", "--json")[1]
+
+
+def test_gf_bad_parts_list_is_usage_error(capsys):
+    code, out, err = run(capsys, "gf", "--type", "F4", "--parts", "1,x")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_gf_engine_rejects_restrictions(capsys):
     code, _, _ = run(capsys, "gf", "--type", "A3", "--restrict", "unimodal",
                      "--threads", "2")

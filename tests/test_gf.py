@@ -13,6 +13,7 @@ from oddlength.errors import (
 )
 from oddlength.gf import (
     PROFILES,
+    RESTRICTIONS,
     _PROFILE_TABLE,
     predicted_display,
     predicted_gf,
@@ -25,6 +26,7 @@ from oddlength.gf import (
     verify_univariate,
 )
 from oddlength.poly import Poly
+from oracle import RESTRICTION_PREDICATES, gf_by_windows
 
 
 def uni(coeffs: dict) -> Poly:
@@ -54,10 +56,10 @@ def test_frozen_small_generating_functions(name):
     assert res.elements == group_order(res.ctype)
 
 
-def _window_oracle(ct, profile, unsigned=False):
-    # the per-window enumeration, kept as the reference for the root engine
-    from oddlength.gf import _gf_windows_python
-    return _gf_windows_python(ct, resolve_profile(profile, ct), None, unsigned)[0]
+def _window_oracle(ct, profile, unsigned=False, restriction="full"):
+    # the per-window enumeration, the reference for the root engine
+    predicate = RESTRICTION_PREDICATES[restriction]
+    return gf_by_windows(ct, resolve_profile(profile, ct), predicate, unsigned)
 
 
 def test_engine_matches_window_oracle():
@@ -75,7 +77,7 @@ def test_engine_matches_window_oracle():
                 checked.add((profile, family))
                 for unsigned in (False, True):
                     res = signed_gf(ct, profile, unsigned=unsigned)
-                    assert res.poly == _window_oracle(ct, profile, unsigned), (ct, profile)
+                    assert res.poly == _window_oracle(ct, profile, unsigned)[0], (ct, profile)
                     assert res.elements == group_order(ct)
     assert {p for p, _ in checked} == set(PROFILES)
 
@@ -86,7 +88,7 @@ def test_window_and_root_paths_agree():
     for name in ("A3", "B3", "C3", "D4"):
         ct = CartanType.parse(name)
         for unsigned in (False, True):
-            assert _window_oracle(ct, "odd-length", unsigned) == odd_length_gf_by_roots(
+            assert _window_oracle(ct, "odd-length", unsigned)[0] == odd_length_gf_by_roots(
                 root_system(ct), unsigned=unsigned
             )
 
@@ -259,6 +261,57 @@ def test_restriction_equalities_small():
     ):
         report = verify_restriction(CartanType.parse(name), profile, restriction)
         assert report.ok, report.line()
+
+
+def test_restricted_domains_match_window_oracle():
+    # every restriction and profile a family allows, signed and unsigned:
+    # the engine over the domain's levels against the window predicates
+    groups = [CartanType("A", n) for n in range(1, 7)] + [
+        CartanType("D", n) for n in range(2, 7)
+    ]
+    cases = [
+        (ct, profile, restriction)
+        for ct in groups
+        for profile in PROFILES
+        for restriction, families in RESTRICTIONS.items()
+        if ct.family in families and _defined(profile, ct)
+        and (str(ct) != "D6" or profile == "D-bivar")
+    ]
+    for ct, profile, restriction in cases:
+        for unsigned in (False, True):
+            res = signed_gf(ct, profile, restriction, unsigned=unsigned)
+            oracle = _window_oracle(ct, profile, unsigned, restriction)
+            assert (res.poly, res.elements) == oracle, (ct, profile, restriction, unsigned)
+    assert {r for _, _, r in cases} == set(RESTRICTIONS)
+
+
+def _defined(profile, ct):
+    try:
+        resolve_profile(profile, ct)
+    except UnsupportedProfile:
+        return False
+    return True
+
+
+def test_restricted_gf_makes_no_per_window_pass(monkeypatch):
+    # a restricted domain reaches the engine as levels; nothing scores or
+    # tests the windows of the whole group one at a time
+    import oddlength.gf as gf
+
+    cases = [
+        (CartanType("D", 6), "D-bivar", "good-chessboard"),
+        (CartanType("A", 7), "odd-length", "unimodal"),
+    ]
+    expected = [_window_oracle(ct, p, restriction=r) for ct, p, r in cases]
+
+    def per_window(*args):
+        raise AssertionError("per-window pass over the group")
+
+    for name in ("atomic_stats", "is_unimodal", "is_chessboard", "is_good_chessboard"):
+        monkeypatch.setattr(gf, name, per_window)
+    for (ct, profile, restriction), want in zip(cases, expected):
+        res = signed_gf(ct, profile, restriction)
+        assert (res.poly, res.elements) == want
 
 
 def test_restriction_rejected_for_wrong_family():
