@@ -31,7 +31,6 @@ __all__ = [
     "build_root_system",
     "root_system",
     "cartan_matrix",
-    "odd_roots",
     "group_order",
     "positive_root_count",
 ]
@@ -54,7 +53,7 @@ class CartanType:
     rank: int
 
     def __post_init__(self) -> None:
-        if self.family not in "ABCDEFG":
+        if len(self.family) != 1 or self.family not in "ABCDEFG":
             raise InvalidRank(f"unknown family {self.family!r}")
         r = self.rank
         ok = (
@@ -200,9 +199,10 @@ class RootSystem:
                           root s: entry (target, sign) means s maps root k to
                           sign * root target; exactly index s itself flips
 
-    Derived tables are built on first use and kept: odd_index_array,
-    ambient_vectors and root_atoms below, and the transversal chain that
-    weyl.transversal_chain stores in _chain.
+    Derived tables are built on first use and kept: odd_index_array; for the
+    classical types the ambient root table (ambient_vectors, ambient_index)
+    that weyl converts windows through and root_atoms; and the transversal
+    chain that weyl.transversal_chain stores in _chain.
     """
 
     def __init__(self, ctype: CartanType, positive: list[Coords]):
@@ -248,24 +248,26 @@ class RootSystem:
         """Number of positive roots."""
         return len(self.positive_roots)
 
-    @property
-    def odd_indices(self) -> tuple[int, ...]:
-        return tuple(k for k, odd in enumerate(self.odd_mask) if odd)
-
     @cached_property
     def odd_index_array(self) -> np.ndarray:
-        return np.array(self.odd_indices, dtype=np.intp)
+        return np.flatnonzero(self.odd_mask)
 
     @cached_property
-    def ambient_vectors(self) -> tuple[tuple[int, ...], ...]:
-        """Positive roots as integer vectors in Z^n, n the window size
-        (classical types only)."""
-        simples = _ambient_simple_vectors(self.ctype)
-        n = len(simples[0])
-        return tuple(
-            tuple(sum(c * s[i] for c, s in zip(coords, simples)) for i in range(n))
-            for coords in self.positive_roots
-        )
+    def ambient_vectors(self) -> np.ndarray:
+        """Positive roots as the rows of an int64 matrix in Z^n, n the window
+        size (classical types only)."""
+        simples = np.array(_ambient_simple_vectors(self.ctype), dtype=np.int64)
+        return np.array(self.positive_roots, dtype=np.int64) @ simples
+
+    @cached_property
+    def ambient_index(self) -> dict[bytes, tuple[int, int]]:
+        """Row bytes of ambient_vectors -> (k, 0) for positive root k and
+        (k, 1) for its negative."""
+        return {
+            (sign * v).tobytes(): (k, flag)
+            for flag, sign in ((0, 1), (1, -1))
+            for k, v in enumerate(self.ambient_vectors)
+        }
 
     @cached_property
     def root_atoms(self) -> tuple[str, ...]:
@@ -274,7 +276,7 @@ class RootSystem:
         is oinv or einv and e_i + e_j is onsp or ensp by the parity of j - i,
         e_i or 2e_i is oneg or eneg by the parity of the 1-based position i."""
         atoms = []
-        for vec in self.ambient_vectors:
+        for vec in self.ambient_vectors.tolist():
             at = [i for i, c in enumerate(vec) if c]
             if len(at) == 1:
                 gap, kind = at[0] + 1, "neg"
@@ -346,7 +348,3 @@ def root_system(ctype: CartanType) -> RootSystem:
     """Cached accessor; root systems are immutable once built."""
     return build_root_system(ctype)
 
-
-def odd_roots(system: RootSystem) -> tuple[Coords, ...]:
-    """Positive roots of odd height."""
-    return tuple(c for c, odd in zip(system.positive_roots, system.odd_mask) if odd)

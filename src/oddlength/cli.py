@@ -41,15 +41,23 @@ def _add_type_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rank", type=int, help="rank (with --family)")
 
 
-def _resolve_type(args, parser: argparse.ArgumentParser) -> CartanType:
-    if args.type:
-        if args.family or args.rank is not None:
+def _type_spec(args, parser: argparse.ArgumentParser) -> str:
+    """Upper-case text of --type, or of --family followed by --rank when one
+    is given; empty when neither flag is."""
+    if args.family or args.rank is not None:
+        if args.type:
             parser.error("give either --type or --family/--rank, not both")
-        return CartanType.parse(args.type)
-    if args.family and args.rank is not None:
-        return CartanType(args.family.strip().upper(), args.rank)
-    parser.error("missing type: use --type B5 or --family B --rank 5")
-    raise AssertionError("unreachable")
+        if not args.family:
+            parser.error("--rank needs --family")
+        return args.family.strip().upper() + ("" if args.rank is None else str(args.rank))
+    return (args.type or "").strip().upper()
+
+
+def _resolve_type(args, parser: argparse.ArgumentParser) -> CartanType:
+    spec = _type_spec(args, parser)
+    if not spec or (args.family and args.rank is None):
+        parser.error("missing type: use --type B5 or --family B --rank 5")
+    return CartanType.parse(spec)
 
 
 def _cmd_roots(args, parser) -> int:
@@ -179,16 +187,9 @@ def _cmd_gf(args, parser) -> int:
 
 
 def _suite_for(args, parser):
-    spec = args.type
-    if args.family or args.rank is not None:
-        if args.type:
-            parser.error("give either --type or --family/--rank, not both")
-        if not args.family:
-            parser.error("--rank needs --family")
-        spec = args.family + ("" if args.rank is None else str(args.rank))
+    t = _type_spec(args, parser)
     families = None
-    if spec:
-        t = spec.strip().upper()
+    if t:
         if len(t) != 1:
             ct = CartanType.parse(t)
             reports = [verify_univariate(ct)]

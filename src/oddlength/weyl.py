@@ -4,6 +4,12 @@ An element stores, for every positive root index k, the index of the image
 root and a flag saying whether the image is negative.  Length is the number
 of flags set, odd length the number of flags set at odd-height roots, and a
 separate word parity bit keeps (-1)^length cheap under composition.
+
+In the classical types a window is the same element seen as an n x n signed
+permutation matrix acting on Z^n.  window_to_element applies that matrix to
+the ambient root table RootSystem.ambient_vectors and looks the rows up in
+RootSystem.ambient_index; element_to_window solves for it from the images of
+the simple roots.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from .cartan import CartanType, RootSystem, group_order
 from .errors import (
     BudgetExceeded,
     IndexOutOfRange,
+    InvalidWindow,
     SystemMismatch,
     TypeMismatch,
 )
@@ -126,97 +133,45 @@ def odd_length_by_roots(w: WeylElement) -> int:
 # ---------------------------------------------------------------------------
 # window representation for the classical families
 
-def window_to_element(system: RootSystem, window: Sequence[int]) -> WeylElement:
-    """Element acting by e_i -> sign(w(i)) e_{|w(i)|} for window w."""
-    ctype = system.ctype
+def _window_size(ctype: CartanType) -> int:
     if not ctype.is_classical:
         raise TypeMismatch(f"{ctype} has no window representation")
-    w = check_window(ctype, window).window
-    vectors = system.ambient_vectors
-    lookup = {v: k for k, v in enumerate(vectors)}
-    n = len(w)
-    size = system.size
-    tgt = np.empty(size, dtype=np.int16)
-    neg = np.empty(size, dtype=np.uint8)
-    for k, vec in enumerate(vectors):
-        out = [0] * n
-        for i in range(n):
-            c = vec[i]
-            if c:
-                s = w[i]
-                out[abs(s) - 1] += c if s > 0 else -c
-        key = tuple(out)
-        hit = lookup.get(key)
-        if hit is not None:
-            tgt[k], neg[k] = hit, 0
-        else:
-            tgt[k], neg[k] = lookup[tuple(-x for x in out)], 1
-    return WeylElement(system, tgt, neg, int(neg.sum()) & 1)
+    return ctype.window_size
+
+
+def window_to_element(system: RootSystem, window: Sequence[int]) -> WeylElement:
+    """Element acting by e_i -> sign(w(i)) e_{|w(i)|} for window w."""
+    n = _window_size(system.ctype)
+    w = np.array(check_window(system.ctype, window).window)
+    act = np.zeros((n, n), dtype=np.int64)
+    act[np.arange(n), np.abs(w) - 1] = np.sign(w)
+    index = system.ambient_index
+    hits = np.array([index[row.tobytes()] for row in system.ambient_vectors @ act])
+    neg = hits[:, 1].astype(np.uint8)
+    return WeylElement(system, hits[:, 0].astype(np.int16), neg, int(neg.sum()) & 1)
 
 
 def element_to_window(w: WeylElement) -> tuple[int, ...]:
-    """Window of a classical element; inverse of window_to_element."""
+    """Window of a classical element; inverse of window_to_element.
+
+    Solves basis @ act = images for act, basis the simple roots and images
+    their images under w.  In type A the simple roots span only the sum-zero
+    hyperplane; every permutation fixes the all-ones vector, which completes
+    them to a basis of R^n.
+    """
     system = w.system
-    ctype = system.ctype
-    if not ctype.is_classical:
-        raise TypeMismatch(f"{ctype} has no window representation")
-    vectors = system.ambient_vectors
-    n = ctype.window_size
-
-    def image_of_root(k: int, sign: int = 1) -> list[int]:
-        t, s = w.image(k)
-        v = vectors[t]
-        s *= sign
-        return [s * c for c in v]
-
-    lookup = {v: k for k, v in enumerate(vectors)}
-
-    def root_index(vec: tuple[int, ...]) -> tuple[int, int]:
-        if vec in lookup:
-            return lookup[vec], 1
-        return lookup[tuple(-c for c in vec)], -1
-
-    fam = ctype.family
-    window = [0] * n
-    if fam in "BC":
-        scale = 1 if fam == "B" else 2
-        for i in range(n):
-            e = [0] * n
-            e[i] = scale
-            k, sign = root_index(tuple(e))
-            img = image_of_root(k, sign)
-            j = next(a for a, c in enumerate(img) if c)
-            window[i] = (j + 1) if img[j] > 0 else -(j + 1)
-    elif fam == "D":
-        # e_i = ((e_i + e_j) + (e_i - e_j)) / 2 with any j != i
-        for i in range(n):
-            j = 0 if i else 1
-            plus, minus = [0] * n, [0] * n
-            plus[i] = plus[j] = 1
-            minus[i], minus[j] = 1, -1
-            total = [0] * n
-            for vec in (tuple(plus), tuple(minus)):
-                k, sign = root_index(vec)
-                for a, c in enumerate(image_of_root(k, sign)):
-                    total[a] += c
-            a = next(b for b, c in enumerate(total) if c)
-            window[i] = (a + 1) if total[a] > 0 else -(a + 1)
-    else:
-        # images of e_j - e_1 share the coordinate -1 at position w(1)
-        if n == 1:
-            return (1,)
-        images = []
-        for j in range(1, n):
-            vec = [0] * n
-            vec[0], vec[j] = -1, 1
-            k, sign = root_index(tuple(vec))
-            images.append(image_of_root(k, sign))
-        negs = [next(a for a, c in enumerate(img) if c < 0) for img in images]
-        first = negs[0]
-        window[0] = first + 1
-        for j, img in enumerate(images, start=1):
-            window[j] = next(a for a, c in enumerate(img) if c > 0) + 1
-    return tuple(window)
+    n = _window_size(system.ctype)
+    simple = np.array(system.simple_index)
+    basis = system.ambient_vectors[simple]
+    signs = 1 - 2 * w.neg[simple].astype(np.int64)
+    images = system.ambient_vectors[w.tgt[simple]] * signs[:, None]
+    if len(basis) < n:
+        ones = np.ones((1, n), dtype=np.int64)
+        basis, images = np.vstack([basis, ones]), np.vstack([images, ones])
+    act = np.rint(np.linalg.solve(basis, images)).astype(np.int64)
+    if (basis @ act != images).any() or (np.abs(act).sum(axis=1) != 1).any():
+        raise InvalidWindow(f"element does not act as a signed permutation of {n} letters")
+    return tuple(int(v) for v in act @ np.arange(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +340,7 @@ def conjugate_simple_system(system: RootSystem, w: WeylElement) -> ConjugatedRoo
 def iter_group_windows(ctype: CartanType) -> Iterator[tuple[int, ...]]:
     """All windows of the classical group of ctype, plain S_n order inside
     each sign pattern."""
-    if not ctype.is_classical:
-        raise TypeMismatch(f"{ctype} has no window representation")
-    n = ctype.window_size
+    n = _window_size(ctype)
     fam = ctype.family
     if fam == "A":
         yield from itertools.permutations(range(1, n + 1))

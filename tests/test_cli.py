@@ -38,6 +38,13 @@ def test_type_flags_conflict(capsys):
     assert code == 2
     code, _, _ = run(capsys, "gf")
     assert code == 2
+    # one rule for every subcommand: --rank needs --family
+    for command in ("roots", "gf", "verify"):
+        code, out, err = run(capsys, command, "--rank", "2")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"oddlength {command}: error: --rank needs --family"
+    code, out, err = run(capsys, "roots", "--family", "AB", "--rank", "2")
+    assert (code, out, err) == (2, "", "error: cannot parse Cartan type from 'AB2'\n")
 
 
 def test_roots_json(capsys):

@@ -23,7 +23,7 @@ def test_parse_and_str():
 
 
 def test_rank_invariants():
-    for bad in (("A", 0), ("D", 1), ("E", 5), ("E", 9), ("F", 3), ("G", 1)):
+    for bad in (("A", 0), ("D", 1), ("E", 5), ("E", 9), ("F", 3), ("G", 1), ("AB", 2), ("", 2)):
         with pytest.raises(InvalidRank):
             CartanType(*bad)
     # boundary cases that are fine

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from oddlength.cartan import CartanType, root_system
-from oddlength.errors import BudgetExceeded, InvalidWindow, SystemMismatch
+from oddlength.errors import BudgetExceeded, InvalidWindow, SystemMismatch, TypeMismatch
 from oddlength.weyl import (
     ConjugatedRootSystem,
     _sift,
@@ -120,7 +120,9 @@ def test_longest_element_flips_everything():
 
 # window notation round trips
 
-@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D3", "D4"])
+@pytest.mark.parametrize(
+    "name", ["A1", "B1", "C1", "D2", "A3", "B3", "C3", "D3", "D4", "A4", "C4"]
+)
 def test_window_round_trip(name):
     ct = CartanType.parse(name)
     rs = root_system(ct)
@@ -151,6 +153,15 @@ def test_window_validation():
         window_to_element(rs, (1, 1, 2))
 
 
+@pytest.mark.parametrize("name", ["E6", "F4", "G2"])
+def test_windows_refused_outside_classical_types(name):
+    rs = root_system(CartanType.parse(name))
+    with pytest.raises(TypeMismatch):
+        window_to_element(rs, tuple(range(1, rs.rank + 1)))
+    with pytest.raises(TypeMismatch):
+        element_to_window(identity(rs))
+
+
 def test_window_of_simple_reflections_type_b():
     rs = root_system(CartanType.parse("B3"))
     # generator 0 is the sign change in the first slot, generator i swaps
@@ -165,9 +176,10 @@ def test_window_of_d_type_special_generator():
     assert element_to_window(simple_reflection(rs, 0)) == (-2, -1, 3, 4)
 
 
-def test_window_multiplication_is_composition():
+@pytest.mark.parametrize("name", ["B3", "A4", "C4", "D4"])
+def test_window_multiplication_is_composition(name):
     # window of u*v equals the composition of window maps
-    ct = CartanType.parse("B3")
+    ct = CartanType.parse(name)
     rs = root_system(ct)
     rng = random.Random(3)
     windows = list(iter_group_windows(ct))
@@ -179,7 +191,7 @@ def test_window_multiplication_is_composition():
     for _ in range(60):
         a, b = rng.choice(windows), rng.choice(windows)
         u, v = window_to_element(rs, a), window_to_element(rs, b)
-        composed = tuple(act(a, b[i]) for i in range(3))
+        composed = tuple(act(a, b[i]) for i in range(len(b)))
         assert element_to_window(multiply(u, v)) == composed
 
 
