@@ -252,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gf.add_argument("--allow-large", action="store_true",
                       help="opt in to runs past the element budget (E8)")
     p_gf.add_argument("--progress", action="store_true",
-                      help="per-part progress on stderr")
+                      help="per-part progress, parts/s and ETA on stderr")
     p_gf.add_argument("--json", action="store_true")
 
     p_verify = command("verify", _cmd_verify, "check identities against brute force")

@@ -37,9 +37,11 @@ pair is computed.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass
 from math import prod
@@ -259,7 +261,13 @@ def _checkpoint_digest(body: dict) -> str:
 
 
 class Checkpoint:
-    """Resumable partial sum over parts, written atomically by rename."""
+    """Resumable partial sum over parts, written atomically by rename.
+
+    A written file always holds partial equal to the sum of the tallies of
+    the parts in done.  run_partitioned writes it at most once every
+    _CHECKPOINT_INTERVAL seconds while parts land, and once more when its
+    parts loop ends, however it ends.
+    """
 
     def __init__(self, ctype: CartanType, profile: str, n_parts: int):
         self.ctype = ctype
@@ -309,6 +317,7 @@ class Checkpoint:
 # partitioned driver
 
 _WORKER_SPLIT: _Split | None = None
+_CHECKPOINT_INTERVAL = 1.0  # seconds between checkpoint writes while parts land
 
 
 def _one_blas_thread() -> None:
@@ -399,11 +408,17 @@ def run_partitioned(
     """Partitioned, checkpointed computation of a full-group profile.
 
     Parts are the cosets of the outermost parabolic; each contributes a
-    private polynomial and merging is plain addition, so completion order
-    cannot change the result.  parts restricts the run to a subset (partial
-    sums are meaningful and reproducible); resume continues from
-    checkpoint_path.  The suffix matrices are built only when some part is
-    still to do.
+    private tally and merging is plain addition, so completion order cannot
+    change the result.  parts restricts the run to a subset (partial sums
+    are meaningful and reproducible); resume continues from checkpoint_path.
+    The suffix matrices are built only when some part is still to do.
+
+    Each landed tally (and its w0 mirror) is added into one running int64
+    array, which becomes a polynomial only when the checkpoint is written:
+    at most once every _CHECKPOINT_INTERVAL seconds, and once when the
+    parts loop ends, also by WorkerFailure or KeyboardInterrupt (unless that
+    stopped a merge halfway).  A killed parent so loses at most one interval
+    of parts; a failed worker none.
     """
     resolved = resolve_profile(profile, ctype)
     order = group_order(ctype) if allow_large else check_budget(ctype, budget)
@@ -423,36 +438,62 @@ def run_partitioned(
     todo = [i for i in wanted if i not in ck.done]
     weights, dims = root_weights(resolved, system)
 
-    def merge(tallies: dict[int, np.ndarray]) -> None:
-        for index, coeffs in tallies.items():
-            ck.partial = ck.partial + _coeffs_to_poly(coeffs, dims, resolved.vars)
-            ck.done.add(index)
-        if checkpoint_path:
-            ck.write(checkpoint_path)
-        if progress:
-            import sys
-
-            print(
-                f"part {', '.join(map(str, tallies))} done ({len(ck.done)}/{len(wanted)})",
-                file=sys.stderr,
-                flush=True,
-            )
-
     if todo:
         split = _Split.build(system, weights)
+        tally = np.zeros(split.k, dtype=np.int64)  # parts in ck.done, not yet in ck.partial
+        landed = 0
+        merging = False  # ck.done and the tally may disagree while set
+        began = written = time.monotonic()
+
+        def save() -> None:
+            ck.partial = ck.partial + _coeffs_to_poly(tally, dims, resolved.vars)
+            tally[:] = 0
+            if checkpoint_path:
+                ck.write(checkpoint_path)
 
         def finish(index: int, mirror: int | None, coeffs: np.ndarray) -> None:
-            tallies = {index: coeffs}
+            nonlocal landed, merging, written
+            merging = True
+            merged = [index]
+            np.add(tally, coeffs, out=tally)
             if mirror is not None:
-                tallies[mirror] = split.mirrored(coeffs)
-            merge(tallies)
+                np.add(tally, split.mirrored(coeffs), out=tally)
+                merged.append(mirror)
+            ck.done.update(merged)
+            landed += len(merged)
+            now = time.monotonic()
+            if checkpoint_path and now - written >= _CHECKPOINT_INTERVAL:
+                save()
+                written = now
+            merging = False
+            if progress:
+                # every landed part is in wanted and was not done before
+                count = len(wanted) - len(todo) + landed
+                elapsed = max(now - began, 1e-9)
+                eta = elapsed * (len(wanted) - count) / landed
+                print(
+                    f"part {', '.join(map(str, merged))} done ({count}/{len(wanted)},"
+                    f" {landed / elapsed:.1f} parts/s, ETA {eta:.1f}s)",
+                    file=sys.stderr,
+                    flush=True,
+                )
 
         jobs = split.pairs(todo)
-        if workers > 1:
-            _run_pool(split, jobs, workers, finish)
-        else:
-            for i, m in jobs:
-                finish(i, m, split.part_coeffs(i))
+        try:
+            if workers > 1:
+                _run_pool(split, jobs, workers, finish)
+            else:
+                for i, m in jobs:
+                    finish(i, m, split.part_coeffs(i))
+        except BaseException:
+            # every merged part still reaches the checkpoint, unless a Ctrl-C
+            # stopped a merge halfway; a failing write must not replace the
+            # error that ended the run
+            if not merging:
+                with contextlib.suppress(OSError):
+                    save()
+            raise
+        save()
 
     done_in_scope = sorted(set(wanted) & ck.done)
     return GFResult(

@@ -1,11 +1,12 @@
 """Command line behavior: output shapes and exit codes."""
 
 import json
+import re
 import time
 
 import pytest
 
-from oddlength import cli, errors
+from oddlength import cli, engine, errors
 from oddlength.cartan import CartanType, root_system
 from oddlength.cli import main
 from oddlength.engine import run_partitioned
@@ -13,6 +14,7 @@ from oddlength.gf import signed_gf
 from oddlength.weyl import enumerate_group, window_to_element
 
 A2_GOLDEN = '{"vars":["x"],"terms":[{"e":[0],"c":1},{"e":[2],"c":-1}]}'
+F4 = CartanType.parse("F4")
 
 
 def run(capsys, *argv):
@@ -272,6 +274,58 @@ def test_gf_resume_ignores_a_stale_tmp_file(capsys, tmp_path):
     assert out == run(capsys, "gf", "--type", "F4", "--json")[1]
 
 
+def test_gf_worker_failure_keeps_merged_parts(capsys, monkeypatch, tmp_path):
+    split = engine._Split.build(root_system(F4))
+    tallies = [split.part_coeffs(i) for i in range(24)]
+    bad = split.pairs(range(24))[-1][0]
+    real = engine._Split.part_coeffs
+
+    def flaky(self, part_index, unsigned=False):
+        if part_index == bad:
+            raise RuntimeError("injected")
+        return real(self, part_index, unsigned)
+
+    monkeypatch.setattr(engine._Split, "part_coeffs", flaky)
+    ck = str(tmp_path / "f4.ckpt")
+    code, out, err = run(capsys, "gf", "--type", "F4", "--threads", "2",
+                         "--checkpoint", ck, "--json")
+    assert code == 3 and out == ""
+    assert "failed repeatedly" in err
+    saved = engine.Checkpoint.read(ck, F4, "odd-length", 24)
+    # every other job lands before the third failure of the bad part
+    assert saved.done == set(range(24)) - {bad, split.mirror[bad]}
+    assert saved.partial == engine._coeffs_to_poly(sum(tallies[i] for i in saved.done))
+
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "gf", "--type", "F4", "--checkpoint", ck,
+                       "--resume", "--json")
+    assert code == 0
+    assert out == run(capsys, "gf", "--type", "F4", "--json")[1]
+
+
+def _progress_counts(err: str) -> list[str]:
+    return [re.search(r"\((\d+/\d+), [\d.]+ parts/s, ETA [\d.]+s\)$", line)[1]
+            for line in err.splitlines()]
+
+
+def test_gf_progress_one_line_per_merged_job(capsys):
+    code, out, err = run(capsys, "gf", "--type", "F4", "--threads", "2",
+                         "--progress", "--json")
+    assert code == 0
+    assert out == run(capsys, "gf", "--type", "F4", "--json")[1]
+    counts = _progress_counts(err)
+    assert len(counts) == len(engine._Split.build(root_system(F4)).pairs(range(24)))
+    assert counts[-1] == "24/24"
+
+
+def test_gf_progress_counts_only_wanted_parts(capsys, tmp_path):
+    ck = _f4_checkpoint(capsys, tmp_path)
+    code, _, err = run(capsys, "gf", "--type", "F4", "--checkpoint", ck,
+                       "--resume", "--parts", "10,11", "--progress", "--json")
+    assert code == 0
+    assert _progress_counts(err) == ["1/2", "2/2"]
+
+
 def test_gf_bad_parts_list_is_usage_error(capsys):
     code, out, err = run(capsys, "gf", "--type", "F4", "--parts", "1,x")
     assert code == 2
@@ -307,8 +361,6 @@ def test_gf_part_out_of_range_is_usage_error(capsys):
 
 
 def test_gf_unwritable_checkpoint_exits_3(capsys, monkeypatch, tmp_path):
-    import oddlength.engine as engine
-
     def no_build(system):
         raise AssertionError("a part was started before the checkpoint was checked")
 

@@ -142,6 +142,106 @@ def test_finished_resume_builds_nothing(tmp_path, monkeypatch):
     assert again.parts_done == tuple(range(27))
 
 
+class _Clock:
+    """Stand-in for the engine's time module whose every reading is step
+    seconds past the last, so write cadence does not hang on machine speed."""
+
+    def __init__(self, step: float):
+        self.now, self.step = 0.0, step
+
+    def monotonic(self) -> float:
+        self.now += self.step
+        return self.now
+
+    perf_counter = monotonic
+
+
+def _recorded_writes(monkeypatch) -> list:
+    """(done, partial) of every Checkpoint.write from now on."""
+    writes = []
+    write = Checkpoint.write
+
+    def recorded(self, path):
+        writes.append((sorted(self.done), self.partial))
+        write(self, path)
+
+    monkeypatch.setattr(Checkpoint, "write", recorded)
+    return writes
+
+
+def test_checkpoint_written_once_within_the_interval(tmp_path, monkeypatch):
+    writes = _recorded_writes(monkeypatch)
+    monkeypatch.setattr(engine, "time", _Clock(0.0))
+    full = run_partitioned(E6, checkpoint_path=str(tmp_path / "e6.ckpt"))
+    assert writes == [(list(range(27)), full.poly)]
+
+
+def test_checkpoint_written_each_interval_and_at_the_end(tmp_path, monkeypatch):
+    split = engine._Split.build(root_system(E6))
+    tallies = [split.part_coeffs(i) for i in range(27)]
+    writes = _recorded_writes(monkeypatch)
+    monkeypatch.setattr(engine, "time", _Clock(engine._CHECKPOINT_INTERVAL))
+    path = str(tmp_path / "e6.ckpt")
+    full = run_partitioned(E6, workers=2, checkpoint_path=path)
+    # one write per merged job, one when the loop ends
+    assert len(writes) == len(split.pairs(range(27))) + 1
+    assert writes[-1] == (list(range(27)), full.poly)
+    for done, partial in writes:
+        assert partial == engine._coeffs_to_poly(sum(tallies[i] for i in done))
+    assert Checkpoint.read(path, E6, "odd-length", 27).partial == full.poly
+
+
+
+@pytest.mark.parametrize("disk_full", [False, True], ids=["saved", "disk-full"])
+def test_interrupt_saves_merged_parts_and_keeps_its_error(tmp_path, monkeypatch, disk_full):
+    split = engine._Split.build(root_system(F4))
+    real = engine._Split.part_coeffs
+
+    def interrupted(self, part_index, unsigned=False):
+        if part_index == 2:
+            raise KeyboardInterrupt
+        return real(self, part_index, unsigned)
+
+    def full(self, path):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(engine._Split, "part_coeffs", interrupted)
+    if disk_full:
+        monkeypatch.setattr(Checkpoint, "write", full)
+    path = str(tmp_path / "f4.ckpt")
+    with pytest.raises(KeyboardInterrupt):
+        run_partitioned(F4, checkpoint_path=path)
+    if not disk_full:
+        saved = Checkpoint.read(path, F4, "odd-length", 24)
+        assert saved.done == {0, split.mirror[0], 1, split.mirror[1]}
+        expect = sum(real(split, i) for i in saved.done)
+        assert saved.partial == engine._coeffs_to_poly(expect)
+
+
+
+def test_interrupt_inside_a_merge_writes_nothing_torn(tmp_path, monkeypatch):
+    split = engine._Split.build(root_system(F4))
+    calls = []
+    real = engine._Split.mirrored
+
+    def interrupted(self, coeffs, unsigned=False):
+        # the second pair is stopped after its first part reached the tally
+        calls.append(1)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return real(self, coeffs, unsigned)
+
+    monkeypatch.setattr(engine._Split, "mirrored", interrupted)
+    monkeypatch.setattr(engine, "time", _Clock(engine._CHECKPOINT_INTERVAL))
+    path = str(tmp_path / "f4.ckpt")
+    with pytest.raises(KeyboardInterrupt):
+        run_partitioned(F4, checkpoint_path=path)
+    saved = Checkpoint.read(path, F4, "odd-length", 24)
+    assert saved.done == {0, split.mirror[0]}
+    expect = split.part_coeffs(0) + split.part_coeffs(split.mirror[0])
+    assert saved.partial == engine._coeffs_to_poly(expect)
+
+
 # ---------------------------------------------------------------------------
 # w0 mirror pairs and the sign-coded kernel
 
