@@ -18,7 +18,7 @@ import sys
 
 from .cartan import CartanType, build_root_system
 from .engine import run_partitioned
-from .errors import InvalidRank, NoPrediction, OddLengthError
+from .errors import InvalidRank, NoPrediction, OddLengthError, OutOfStatedRange
 from .gf import (
     RESTRICTIONS,
     predicted_display,
@@ -172,7 +172,8 @@ def _cmd_gf(args, parser) -> int:
         else f"{res.elements} elements"
     )
     print(f"{done}  {res.elapsed:.2f}s")
-    if args.profile == "odd-length" and args.restrict == "full":
+    whole = res.parts_done is None or len(res.parts_done) == res.n_parts
+    if args.profile == "odd-length" and args.restrict == "full" and whole:
         try:
             print(f"predicted product: {predicted_display(ct)}")
             if ct.family == "C":
@@ -207,6 +208,8 @@ def _suite_for(args, parser):
 
 def _cmd_verify(args, parser) -> int:
     reports = _suite_for(args, parser)
+    if not reports:
+        raise OutOfStatedRange(f"no identity is stated up to --max-n {args.max_n}")
     failed = 0
     for rep in reports:
         print(rep.line())

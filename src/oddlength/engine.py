@@ -21,11 +21,16 @@ matrix of entries +-c_a evaluates a whole part at once.  Each prefix row also
 carries a constant 1 and its parity bit, and each suffix the matching
 weights sum c_a flag_s(a) + K parity_s and K, with K = sum c_a + 1.  The
 product is then the code + K (parity_qp + parity_s) below 3K, whose block
-gives the sign, so an unweighted bincount tallies a signed part.  When (3K)^2
-is small, two prefix rows share one product as the two digits of a base-3K
-code, which halves the product and the counting.  Entries and partial sums
-are integers bounded up front below 2^24, exact in float32, and the tallies
-are integer counts, so the result is exact and independent of part order.
+gives the sign, so a bincount tallies a signed part.
+
+Only the read roots, those that some part times prefix product sends
+negative, can flip a suffix weight; the others only add to the constant.
+Over the read roots many suffixes share one row, so the suffixes are kept
+as their distinct rows, the states, and the bincount weighs each code by
+the number of suffixes behind its state (E8: 184 states for 1,920).
+Entries and partial sums are integers bounded up front below 2^24, exact in
+float32, and the tallies add integer counts in float64, far below 2^53, so
+the result is exact and independent of part order.
 
 The longest element w0 halves the work: it negates every positive root, so
 code(w0 w) = K - 1 - code(w) and length(w0 w) = N - length(w), and left
@@ -44,6 +49,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import reduce
 from math import prod
 
 import numpy as np
@@ -59,19 +65,12 @@ from .errors import (
 from .gf import GFResult, ResolvedProfile, resolve_profile, root_weights
 from .poly import Poly
 from .weyl import (
-    DEFAULT_BUDGET,
-    WeylElement,
-    _sift,
-    check_budget,
-    identity,
-    multiply,
-    transversal_chain,
+    DEFAULT_BUDGET, WeylElement, check_budget, identity, multiply, transversal_chain
 )
 
 __all__ = ["odd_length_gf_by_roots", "profile_gf_by_roots", "run_partitioned", "Checkpoint"]
 
-_BLOCK_FLOATS = 1 << 18  # codes per matrix product, small enough to stay in cache
-_PAIRED_CODES = 1 << 16  # paired codes stay below this, far inside float32's exact range
+_BLOCK_FLOATS = 1 << 15  # codes per matrix product: larger ones fault in fresh pages
 _FLOAT32_EXACT = 1 << 24  # integers up to here are exact in float32
 
 Levels = list[list[WeylElement]]  # one element per level, multiplied left to right
@@ -95,20 +94,25 @@ def _stacked(system: RootSystem, levels: Levels, columns: np.ndarray):
     return tgt, neg, parity
 
 
+def _longest(system: RootSystem, levels: Levels) -> WeylElement:
+    """Longest element of the group whose parabolic chain is levels: lengths
+    add along the chain and each level is sorted by length, so it is the
+    product of the last elements."""
+    return reduce(multiply, [level[-1] for level in levels], identity(system))
+
+
 @dataclass
 class _Split:
     system: RootSystem
     parts: list[WeylElement]          # outermost transversal
     mirror: list[int]                 # index of the part holding w0 * part
-    ptgt: np.ndarray                  # prefix products x roots, stacked
+    ptgt: np.ndarray                  # prefix products x read roots, stacked
     pneg: np.ndarray
     pparity: np.ndarray
-    wmat: np.ndarray                  # suffixes x (roots + 2), float32 code weights
+    states: np.ndarray                # distinct suffix rows x (read roots + 2), float32
+    counts: np.ndarray                # suffixes per state, float64, once per prefix row
     k: int                            # sum of the weights + 1
-    digits: int                       # prefix rows sharing one product
-    block: int                        # suffix rows per product
-    codes: np.ndarray                 # block x product width, float32, reused
-    ints: np.ndarray                  # the same codes as intp, reused
+    block: int                        # prefix rows per product
 
     @classmethod
     def build(
@@ -120,80 +124,72 @@ class _Split:
             weights = np.array(system.odd_mask, dtype=np.int64)
         cols = np.flatnonzero(weights)
         k = int(weights.sum()) + 1
-        # a suffix row holds the +-c_a (absolute sum K - 1), the constant (at
-        # most 2K - 1) and K against 0/1 prefix entries, so one-digit partial
-        # sums stay below 4K; paired digits only run with (3K)^2 <= 2^16
+        # a state holds the +-c_a (absolute sum K - 1), the constant (below
+        # 2K) and K against 0/1 prefix entries, so partial sums stay below 4K
         if 4 * k > _FLOAT32_EXACT:
             raise WeightsTooLarge(
                 f"root weights summing to {k - 1} give codes past float32's"
                 " exact range (4K must stay within 2^24)"
             )
         chain = levels or transversal_chain(system)
-        rest = chain[1:]
+        parts, rest = chain[0], chain[1:]
         sizes = [len(level) for level in rest]
         cut = min(
             range(len(rest) + 1), key=lambda c: max(prod(sizes[:c]), prod(sizes[c:]))
         )
         n = system.size
         ptgt, pneg, pparity = _stacked(system, rest[:cut], np.arange(n))
-        ptgt = ptgt.astype(np.intp)  # int16 indices would be widened on every part
-        m = 3 * k
-        digits = 2 if len(pparity) % 2 == 0 and m * m <= _PAIRED_CODES else 1
-        width = len(pparity) // digits
-        block = min(prod(sizes[cut:]), max(1, _BLOCK_FLOATS // width))
-        # every part reuses one buffer pair: fresh megabyte arrays per product
-        # cost more in page faults than the product itself
-        codes = np.empty((block, width), dtype=np.float32)
-        ints = np.empty((block, width), dtype=np.intp)
+        qneg = np.bitwise_or.reduce([q.neg for q in parts])
+        read = np.flatnonzero((pneg | qneg[ptgt]).any(axis=0))
+        # int16 indices would be widened on every part
+        ptgt, pneg = ptgt[:, read].astype(np.intp), pneg[:, read]
 
+        # suffix rows over the read roots, then the constant and K; an unread
+        # root lands in the constant column, which is written after it
+        width = len(read) + 2
+        column = np.full(n, width - 2)
+        column[read] = np.arange(len(read))
         tgt, flags, sparity = _stacked(system, rest[cut:], cols)
-        c = weights[cols].astype(np.float32)
-        wmat = np.zeros((len(sparity), n + 2), dtype=np.float32)
-        for lo in range(0, len(wmat), block):
-            rows = wmat[lo:lo + block]
-            f = flags[lo:lo + block]
-            rows[np.arange(len(rows))[:, None], tgt[lo:lo + block]] = np.where(f, -c, c)
-            rows[:, n] = f @ c + np.float32(k) * sparity[lo:lo + block]
-        wmat[:, n + 1] = k
+        c = weights[cols]
+        table = np.zeros((len(sparity), width), dtype=np.min_scalar_type(-2 * k))
+        fill = max(1, _BLOCK_FLOATS // width)
+        for lo in range(0, len(table), fill):
+            rows = table[lo:lo + fill]
+            f = flags[lo:lo + fill]
+            rows[np.arange(len(rows))[:, None], column[tgt[lo:lo + fill]]] = np.where(f, -c, c)
+            rows[:, -2] = f @ c + k * sparity[lo:lo + fill].astype(np.int64)
+        table[:, -1] = k
+        rowbytes = np.dtype((np.void, table.itemsize * width))
+        _, first, counts = np.unique(
+            table.view(rowbytes).ravel(), return_index=True, return_counts=True
+        )
+        states = table[first].astype(np.float32)
+        block = max(1, _BLOCK_FLOATS // len(states))
 
-        parts = chain[0]
         mirror = list(range(len(parts)))  # a restricted part is its own mirror
         if levels is None:
             # w0 q W_J has the minimal representative w0 q w0_J, w0_J longest in W_J
-            w0 = _sift(identity(system), system.rank, longest=True)
-            w0_j = _sift(identity(system), system.rank - 1, longest=True)
+            w0, w0_j = _longest(system, chain), _longest(system, rest)
             index = {q.key(): i for i, q in enumerate(parts)}
             mirror = [index[multiply(multiply(w0, q), w0_j).key()] for q in parts]
-        return cls(
-            system, parts, mirror, ptgt, pneg, pparity, wmat, k, digits, block, codes, ints
-        )
+        counts = np.tile(counts.astype(np.float64), block)  # the weights of a whole block
+        return cls(system, parts, mirror, ptgt, pneg, pparity, states, counts, k, block)
 
     def part_coeffs(self, part_index: int, unsigned: bool = False) -> np.ndarray:
         """Signed tally of codes over one part, as an int64 vector."""
         q = self.parts[part_index]
-        n = self.system.size
-        rows = np.empty((len(self.pparity), n + 2), dtype=np.float32)
-        rows[:, :n] = q.neg[self.ptgt] ^ self.pneg
-        rows[:, n] = 1
-        rows[:, n + 1] = (self.pparity + q.parity) & 1
-        m = 3 * self.k
-        # two prefix rows share one product as the digits of a base-m code;
-        # the tally is then the sum of the two digit histograms
-        if self.digits == 2:
-            half = len(rows) // 2
-            rows = rows[:half] + m * rows[half:]
-        counts = np.zeros(m**self.digits, dtype=np.int64)
-        for lo in range(0, len(self.wmat), self.block):
-            w = self.wmat[lo:lo + self.block]
-            codes, ints = self.codes[:len(w)], self.ints[:len(w)]
-            np.matmul(w, rows.T, out=codes)
-            np.copyto(ints, codes, casting="unsafe")
-            counts += np.bincount(ints.ravel(), minlength=len(counts))
-        if self.digits == 2:
-            grid = counts.reshape(m, m)
-            counts = grid.sum(axis=0) + grid.sum(axis=1)
+        r = self.ptgt.shape[1]
+        rows = np.empty((len(self.pparity), r + 2), dtype=np.float32)
+        rows[:, :r] = q.neg[self.ptgt] ^ self.pneg
+        rows[:, r] = 1
+        rows[:, r + 1] = (self.pparity + q.parity) & 1
+        tally = np.zeros(3 * self.k, dtype=np.int64)
+        for lo in range(0, len(rows), self.block):
+            codes = (rows[lo:lo + self.block] @ self.states.T).astype(np.intp)
+            weights = self.counts[:codes.size]
+            tally += np.bincount(codes.ravel(), weights, len(tally)).astype(np.int64)
         # blocks by parity_qp + parity_s = 0, 1, 2; the middle one is negative
-        b0, b1, b2 = counts.reshape(3, self.k)
+        b0, b1, b2 = tally.reshape(3, self.k)
         return b0 + b1 + b2 if unsigned else b0 - b1 + b2
 
     def mirrored(self, coeffs: np.ndarray, unsigned: bool = False) -> np.ndarray:

@@ -349,6 +349,25 @@ def test_gf_text_mentions_prediction(capsys):
     assert "predicted product:" not in out
 
 
+@pytest.mark.parametrize("family, max_n", [("A", "1"), ("B", "0"), ("C", "1"), ("D", "1")])
+def test_verify_with_no_identity_is_usage_error(capsys, family, max_n):
+    code, out, err = run(capsys, "verify", "--type", family, "--max-n", max_n)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_gf_text_predicts_only_a_whole_run(capsys):
+    code, out, _ = run(capsys, "gf", "--type", "E6", "--parts", "0")
+    assert code == 0
+    assert "1/27 parts" in out
+    assert "predicted product:" not in out
+    code, out, _ = run(capsys, "gf", "--type", "E6", "--threads", "2")
+    assert code == 0
+    assert "27/27 parts" in out
+    assert "predicted product: (1-x^2) (1-x^4) (1-x^6) (1-x^8)" in out
+
+
 def test_unknown_subcommand(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 

@@ -3,6 +3,7 @@
 import json
 import os
 import signal
+from math import prod
 
 import numpy as np
 import pytest
@@ -19,9 +20,17 @@ from oddlength.errors import (
     WeightsTooLarge,
     WorkerFailure,
 )
-from oddlength.gf import signed_gf
+from oddlength.gf import _domain_levels, resolve_profile, root_weights, signed_gf
 from oddlength.poly import Poly
-from oddlength.weyl import enumerate_group, length_by_roots, odd_length_by_roots
+from oddlength.weyl import (
+    _sift,
+    enumerate_group,
+    identity,
+    length_by_roots,
+    odd_length_by_roots,
+    transversal_chain,
+    window_to_element,
+)
 
 F4 = CartanType.parse("F4")
 E6 = CartanType.parse("E6")
@@ -273,6 +282,91 @@ def test_mirror_pair_e8():
     assert all(m != i for i, m in enumerate(e8.mirror))
     assert len(set(e8.mirror)) == 240
     _assert_pairs_mirror(e8, [0])
+
+
+# tallies of single parts, computed before the suffix states replaced the
+# full suffix matrix; a resume adds new tallies to old partial sums, so a
+# part's tally must never move
+_PINNED_PARTS = {
+    ("E8", 0): (
+        [1, 0, -1, -1, -1, 0, 0, 1, 1, 2, 2, 1, -1, -2, -2, -3, -2, -1, 1, 2, 3, 2, 2, 1,
+         -1, -2, -2, -1, -1, 0, 0, 1, 1, 1, 0, -1] + [0] * 29,
+        [1, 26, 181, 845, 2389, 5964, 12212, 25227, 36359, 52526, 77204, 100325, 131883,
+         160008, 186424, 208861, 220318, 230767, 230767, 220318, 208861, 186424, 160008,
+         131883, 100325, 77204, 52526, 36359, 25227, 12212, 5964, 2389, 845, 181, 26, 1]
+        + [0] * 29,
+    ),
+    ("E8", 239): (
+        [0] * 29
+        + [-1, 0, 1, 1, 1, 0, 0, -1, -1, -2, -2, -1, 1, 2, 2, 3, 2, 1, -1, -2, -3, -2, -2,
+           -1, 1, 2, 2, 1, 1, 0, 0, -1, -1, -1, 0, 1],
+        [0] * 29
+        + [1, 26, 181, 845, 2389, 5964, 12212, 25227, 36359, 52526, 77204, 100325, 131883,
+           160008, 186424, 208861, 220318, 230767, 230767, 220318, 208861, 186424, 160008,
+           131883, 100325, 77204, 52526, 36359, 25227, 12212, 5964, 2389, 845, 181, 26, 1],
+    ),
+    ("E7", 0): (
+        [1, 0, -1, 0, -1, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, -1, 0, -1, 0, 1] + [0] * 15,
+        [1, 22, 99, 464, 839, 2136, 2808, 5260, 4984, 6518, 5578, 6518, 4984, 5260, 2808,
+         2136, 839, 464, 99, 22, 1] + [0] * 15,
+    ),
+}
+
+
+@pytest.mark.parametrize("group, part", list(_PINNED_PARTS), ids=str)
+def test_part_tallies_are_pinned(group, part):
+    split = engine._Split.build(root_system(CartanType.parse(group)))
+    signed, unsigned = _PINNED_PARTS[group, part]
+    assert split.part_coeffs(part).tolist() == signed
+    assert split.part_coeffs(part, unsigned=True).tolist() == unsigned
+
+
+_SMALL_TYPES = (
+    [f"{f}{r}" for f in "ABC" for r in range(1, 7)]
+    + [f"D{r}" for r in range(2, 7)]
+    + ["G2", "F4", "E6", "E7", "E8"]
+)
+
+
+@pytest.mark.parametrize("name", _SMALL_TYPES)
+def test_chain_product_is_the_longest_element(name):
+    system = root_system(CartanType.parse(name))
+    chain = transversal_chain(system)
+    r = system.rank
+    assert engine._longest(system, chain) == _sift(identity(system), r, longest=True)
+    assert engine._longest(system, chain[1:]) == _sift(identity(system), r - 1, longest=True)
+
+
+def _domain(name, profile="odd-length", restriction="full"):
+    """System, root weights, levels and element count of a domain."""
+    ct = CartanType.parse(name)
+    system = root_system(ct)
+    weights, _ = root_weights(resolve_profile(profile, ct), system)
+    windows = _domain_levels(restriction, ct)
+    if windows is None:
+        return system, weights, None, group_order(ct)
+    levels = [[window_to_element(system, w) for w in level] for level in windows]
+    return system, weights, levels, prod(map(len, levels))
+
+
+@pytest.mark.parametrize("domain", [
+    ("F4",), ("E6",), ("E7",), ("E8",),
+    ("B5", "B-4var"), ("D5", "D-bivar"), ("A5", "odd-length", "unimodal"),
+], ids=" ".join)
+def test_states_count_every_suffix_once(domain):
+    system, weights, levels, size = _domain(*domain)
+    split = engine._Split.build(system, weights, levels)
+    counts = split.counts[:len(split.states)]
+    assert counts.min() >= 1
+    assert len(np.unique(split.states, axis=0)) == len(split.states)
+    # parts x prefix rows x suffixes is the whole domain
+    assert counts.sum() * len(split.pparity) * len(split.parts) == size
+
+
+def test_e8_states_are_fewer_than_its_suffixes():
+    split = engine._Split.build(root_system(E8))
+    assert split.counts[:len(split.states)].sum() == 1920
+    assert len(split.states) < 1920
 
 
 def _brute_force(ct, unsigned):
