@@ -19,13 +19,7 @@ import sys
 from .cartan import CartanType, build_root_system
 from .engine import run_partitioned
 from .errors import InvalidRank, NoPrediction, OddLengthError, OutOfStatedRange
-from .gf import (
-    RESTRICTIONS,
-    predicted_display,
-    signed_gf,
-    verification_suite,
-    verify_univariate,
-)
+from .gf import RESTRICTIONS, predicted_display, verification_suite, verify_univariate
 from .stats import (
     SignedPermutation,
     StatisticId,
@@ -120,9 +114,12 @@ def _parse_parts(text: str | None) -> list[int] | None:
     if text is None:
         return None
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise InvalidRank(f"bad --parts list {text!r}") from exc
+        parts = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        parts = []
+    if not parts:
+        raise InvalidRank(f"bad --parts list {text!r}: expected part indices")
+    return parts
 
 
 def _positive_int(text: str) -> int:
@@ -139,40 +136,24 @@ def _cmd_gf(args, parser) -> int:
     ct = _resolve_type(args, parser)
     if args.resume and args.checkpoint is None:
         parser.error("--resume needs --checkpoint")
-    parts = _parse_parts(args.parts)
-    use_engine = (
-        args.threads > 1
-        or args.checkpoint is not None
-        or args.resume
-        or parts is not None
-        or args.allow_large
+    res = run_partitioned(
+        ct,
+        args.profile,
+        args.restrict,
+        workers=args.threads,
+        checkpoint_path=args.checkpoint,
+        resume=args.resume,
+        parts=_parse_parts(args.parts),
+        allow_large=args.allow_large,
+        progress=args.progress,
     )
-    if use_engine:
-        if args.restrict != "full":
-            parser.error("the partitioned engine computes full-group profiles only")
-        res = run_partitioned(
-            ct,
-            args.profile,
-            workers=args.threads,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            parts=parts,
-            allow_large=args.allow_large,
-            progress=args.progress,
-        )
-    else:
-        res = signed_gf(ct, args.profile, args.restrict)
     if args.json:
         print(res.poly.dumps())
         return 0
     print(f"type {ct}  profile {args.profile}  restriction {args.restrict}")
-    done = (
-        f"{len(res.parts_done)}/{res.n_parts} parts"
-        if res.n_parts
-        else f"{res.elements} elements"
-    )
-    print(f"{done}  {res.elapsed:.2f}s")
-    whole = res.parts_done is None or len(res.parts_done) == res.n_parts
+    done = len(res.parts_done)
+    print(f"{res.elements} elements, {done}/{res.n_parts} parts  {res.elapsed:.2f}s")
+    whole = done == res.n_parts
     if args.profile == "odd-length" and args.restrict == "full" and whole:
         try:
             print(f"predicted product: {predicted_display(ct)}")

@@ -54,21 +54,23 @@ from math import prod
 
 import numpy as np
 
-from .cartan import CartanType, RootSystem, group_order, root_system
+from .cartan import CartanType, RootSystem, root_system
 from .errors import (
     CheckpointCorrupt,
     CheckpointUnwritable,
     PartOutOfRange,
+    UnsupportedProfile,
     WeightsTooLarge,
     WorkerFailure,
 )
-from .gf import GFResult, ResolvedProfile, resolve_profile, root_weights
+from .gf import GFResult, _domain_levels, resolve_profile, root_weights
 from .poly import Poly
 from .weyl import (
-    DEFAULT_BUDGET, WeylElement, check_budget, identity, multiply, transversal_chain
+    DEFAULT_BUDGET, WeylElement, check_budget, identity, multiply, transversal_chain,
+    window_to_element,
 )
 
-__all__ = ["odd_length_gf_by_roots", "profile_gf_by_roots", "run_partitioned", "Checkpoint"]
+__all__ = ["odd_length_gf_by_roots", "run_partitioned", "Checkpoint"]
 
 _BLOCK_FLOATS = 1 << 15  # codes per matrix product: larger ones fault in fresh pages
 _FLOAT32_EXACT = 1 << 24  # integers up to here are exact in float32
@@ -223,30 +225,11 @@ def _coeffs_to_poly(
     })
 
 
-def profile_gf_by_roots(
-    system: RootSystem,
-    profile: ResolvedProfile,
-    *,
-    unsigned: bool = False,
-    levels: Levels | None = None,
-) -> Poly:
-    """Sequential signed generating function of a profile over the domain of
-    levels, by default the whole group."""
-    weights, dims = root_weights(profile, system)
-    split = _Split.build(system, weights, levels)
-    total = np.zeros(split.k, dtype=np.int64)
-    for i, m in split.pairs(range(len(split.parts))):
-        coeffs = split.part_coeffs(i, unsigned=unsigned)
-        total += coeffs
-        if m is not None:
-            total += split.mirrored(coeffs, unsigned=unsigned)
-    return _coeffs_to_poly(total, dims, profile.vars)
-
-
 def odd_length_gf_by_roots(system: RootSystem, *, unsigned: bool = False) -> Poly:
-    """Sequential signed odd-length generating function over the whole group."""
-    odd_length = resolve_profile("odd-length", system.ctype)
-    return profile_gf_by_roots(system, odd_length, unsigned=unsigned)
+    """Odd-length series over the whole group of system's type, with no
+    element budget.  This is one run_partitioned call, the same parts loop
+    and kernel as signed_gf, so it is no independent check of signed_gf."""
+    return run_partitioned(system.ctype, unsigned=unsigned, allow_large=True).poly
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +323,12 @@ def _init_worker(split: _Split) -> None:
     _one_blas_thread()
 
 
-def _worker_part(index: int) -> np.ndarray:
+def _worker_part(index: int, unsigned: bool) -> np.ndarray:
     assert _WORKER_SPLIT is not None
-    return _WORKER_SPLIT.part_coeffs(index)
+    return _WORKER_SPLIT.part_coeffs(index, unsigned)
 
 
-def _run_pool(split: _Split, jobs, workers: int, finish) -> None:
+def _run_pool(split: _Split, jobs, workers: int, unsigned: bool, finish) -> None:
     """Compute jobs on a fork pool, finishing each in the parent as it lands.
     A part that raises is retried twice; a dead worker ends the run."""
     import multiprocessing as mp
@@ -360,7 +343,7 @@ def _run_pool(split: _Split, jobs, workers: int, finish) -> None:
     )
     failures: dict[int, int] = {}
     try:
-        pending = {pool.submit(_worker_part, i): (i, m) for i, m in jobs}
+        pending = {pool.submit(_worker_part, i, unsigned): (i, m) for i, m in jobs}
         while pending:
             retry = {}
             for fut in as_completed(pending):
@@ -373,7 +356,7 @@ def _run_pool(split: _Split, jobs, workers: int, finish) -> None:
                     failures[i] = failures.get(i, 0) + 1
                     if failures[i] > 2:
                         raise WorkerFailure(f"part {i} failed repeatedly: {exc}") from exc
-                    retry[pool.submit(_worker_part, i)] = (i, m)
+                    retry[pool.submit(_worker_part, i, unsigned)] = (i, m)
                     continue
                 finish(i, m, coeffs)
             pending = retry
@@ -392,6 +375,7 @@ def _check_writable(path: str) -> None:
 def run_partitioned(
     ctype: CartanType,
     profile: str = "odd-length",
+    restriction: str = "full",
     *,
     workers: int = 1,
     checkpoint_path: str | None = None,
@@ -399,15 +383,19 @@ def run_partitioned(
     parts: list[int] | None = None,
     budget: int = DEFAULT_BUDGET,
     allow_large: bool = False,
+    unsigned: bool = False,
     progress: bool = False,
 ):
-    """Partitioned, checkpointed computation of a full-group profile.
+    """Partitioned, checkpointed computation of a profile over a domain.
 
-    Parts are the cosets of the outermost parabolic; each contributes a
-    private tally and merging is plain addition, so completion order cannot
-    change the result.  parts restricts the run to a subset (partial sums
-    are meaningful and reproducible); resume continues from checkpoint_path.
-    The suffix matrices are built only when some part is still to do.
+    Parts are the first level of the domain: the cosets of the outermost
+    parabolic for the whole group, the first level of windows of
+    gf._domain_levels for a restriction.  Each contributes a private tally
+    and merging is plain addition, so completion order cannot change the
+    result.  parts restricts the run to a subset (partial sums are
+    meaningful and reproducible); resume continues from checkpoint_path,
+    which holds signed full-group runs only.  The suffix matrices are built
+    only when some part is still to do.
 
     Each landed tally (and its w0 mirror) is added into one running int64
     array, which becomes a polynomial only when the checkpoint is written:
@@ -416,11 +404,20 @@ def run_partitioned(
     stopped a merge halfway).  A killed parent so loses at most one interval
     of parts; a failed worker none.
     """
-    resolved = resolve_profile(profile, ctype)
-    order = group_order(ctype) if allow_large else check_budget(ctype, budget)
     start = time.perf_counter()
+    resolved = resolve_profile(profile, ctype)
+    if not allow_large:
+        check_budget(ctype, budget)
+    windows = _domain_levels(restriction, ctype)
+    if checkpoint_path and (windows is not None or unsigned):
+        kind = "unsigned counts" if unsigned else f"the {restriction} restriction"
+        raise UnsupportedProfile(f"a checkpoint records signed full-group runs, not {kind}")
     system = root_system(ctype)
-    n_parts = len(transversal_chain(system)[0])
+    domain = None if windows is None else [
+        [window_to_element(system, w) for w in level] for level in windows
+    ]
+    levels = domain or transversal_chain(system)
+    n_parts = len(levels[0])
     wanted = sorted(set(range(n_parts) if parts is None else parts))
     if wanted and not 0 <= wanted[0] <= wanted[-1] < n_parts:
         raise PartOutOfRange(f"part indices must lie in [0, {n_parts}) for {ctype}")
@@ -435,14 +432,16 @@ def run_partitioned(
     weights, dims = root_weights(resolved, system)
 
     if todo:
-        split = _Split.build(system, weights)
+        split = _Split.build(system, weights, domain)
         tally = np.zeros(split.k, dtype=np.int64)  # parts in ck.done, not yet in ck.partial
         landed = 0
         merging = False  # ck.done and the tally may disagree while set
         began = written = time.monotonic()
 
         def save() -> None:
-            ck.partial = ck.partial + _coeffs_to_poly(tally, dims, resolved.vars)
+            # a plain run saves once, into an empty partial: skip the sum
+            landed_poly = _coeffs_to_poly(tally, dims, resolved.vars)
+            ck.partial = ck.partial + landed_poly if ck.partial else landed_poly
             tally[:] = 0
             if checkpoint_path:
                 ck.write(checkpoint_path)
@@ -453,7 +452,7 @@ def run_partitioned(
             merged = [index]
             np.add(tally, coeffs, out=tally)
             if mirror is not None:
-                np.add(tally, split.mirrored(coeffs), out=tally)
+                np.add(tally, split.mirrored(coeffs, unsigned), out=tally)
                 merged.append(mirror)
             ck.done.update(merged)
             landed += len(merged)
@@ -477,10 +476,10 @@ def run_partitioned(
         jobs = split.pairs(todo)
         try:
             if workers > 1:
-                _run_pool(split, jobs, workers, finish)
+                _run_pool(split, jobs, workers, unsigned, finish)
             else:
                 for i, m in jobs:
-                    finish(i, m, split.part_coeffs(i))
+                    finish(i, m, split.part_coeffs(i, unsigned))
         except BaseException:
             # every merged part still reaches the checkpoint, unless a Ctrl-C
             # stopped a merge halfway; a failing write must not replace the
@@ -496,8 +495,8 @@ def run_partitioned(
         ck.partial,
         ctype,
         profile,
-        "full",
-        sum(order // n_parts for _ in done_in_scope),
+        restriction,
+        len(done_in_scope) * prod(map(len, levels)) // n_parts,
         time.perf_counter() - start,
         n_parts=n_parts,
         parts_done=tuple(done_in_scope),

@@ -18,7 +18,7 @@ from math import prod
 
 import numpy as np
 
-from .cartan import CartanType, RootSystem, root_system
+from .cartan import CartanType, RootSystem
 from .errors import (
     NoPrediction,
     OutOfStatedRange,
@@ -29,7 +29,7 @@ from .poly import Poly, expand_product
 from .stats import StatisticId, COMPOSITE
 # not called here; bench/run.py patches them to count per-window work (tests/test_tooling.py)
 from .stats import atomic_stats, is_chessboard, is_good_chessboard, is_unimodal  # noqa: F401
-from .weyl import DEFAULT_BUDGET, check_budget, window_to_element
+from .weyl import DEFAULT_BUDGET
 
 __all__ = [
     "ResolvedProfile",
@@ -150,8 +150,8 @@ class GFResult:
     restriction: str
     elements: int
     elapsed: float
-    n_parts: int | None = None
-    parts_done: tuple[int, ...] | None = None
+    n_parts: int
+    parts_done: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -208,22 +208,11 @@ def signed_gf(
     budget: int = DEFAULT_BUDGET,
     unsigned: bool = False,
 ) -> GFResult:
-    """Exact signed generating function by exhaustive enumeration."""
-    start = time.perf_counter()
-    resolved = resolve_profile(profile, ctype)
-    order = check_budget(ctype, budget)
-    windows = _domain_levels(restriction, ctype)
-    system = root_system(ctype)
-    levels = None if windows is None else [
-        [window_to_element(system, w) for w in level] for level in windows
-    ]
-    from .engine import profile_gf_by_roots  # engine imports this module
+    """Exact signed generating function by exhaustive enumeration: one
+    sequential engine.run_partitioned call."""
+    from .engine import run_partitioned  # engine imports this module
 
-    poly = profile_gf_by_roots(system, resolved, unsigned=unsigned, levels=levels)
-    count = order if levels is None else prod(map(len, levels))
-    return GFResult(
-        poly, ctype, profile, restriction, count, time.perf_counter() - start
-    )
+    return run_partitioned(ctype, profile, restriction, budget=budget, unsigned=unsigned)
 
 
 # ---------------------------------------------------------------------------

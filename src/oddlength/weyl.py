@@ -15,7 +15,6 @@ the simple roots.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -263,14 +262,14 @@ class ConjugatedRootSystem(RootSystem):
         self.base = base
         self.conjugator = conjugator
         ambient = [conjugator.image(k) for k in range(base.size)]
-        simple_vecs = [
-            self._ambient_coords(ambient[base.simple_index[j]])
-            for j in range(base.rank)
-        ]
-        coords = [
-            self._solve_over_basis(simple_vecs, self._ambient_coords(img))
-            for img in ambient
-        ]
+        # coordinates of every image over the images of the simple roots,
+        # solved in floats, rounded, then checked exactly in integers
+        images = np.array([self._ambient_coords(img) for img in ambient], dtype=np.int64)
+        basis = images[list(base.simple_index)]
+        solved = np.rint(np.linalg.solve(basis.T, images.T).T).astype(np.int64)
+        if (solved @ basis != images).any():
+            raise SystemMismatch("conjugated simple roots do not span the root lattice")
+        coords = [tuple(int(v) for v in row) for row in solved]
         order = sorted(range(base.size), key=lambda k: (sum(coords[k]), coords[k]))
         super().__init__(base.ctype, [coords[k] for k in order])
         self.ambient: tuple[tuple[int, int], ...] = tuple(ambient[k] for k in order)
@@ -280,30 +279,6 @@ class ConjugatedRootSystem(RootSystem):
     def _ambient_coords(self, signed: tuple[int, int]) -> tuple[int, ...]:
         idx, sign = signed
         return tuple(sign * c for c in self.base.positive_roots[idx])
-
-    @staticmethod
-    def _solve_over_basis(
-        basis: list[tuple[int, ...]], target: tuple[int, ...]
-    ) -> tuple[int, ...]:
-        """Exact coordinates of target over the given basis vectors."""
-        r = len(basis)
-        dim = len(target)
-        rows = [[Fraction(basis[j][i]) for j in range(r)] + [Fraction(target[i])] for i in range(dim)]
-        col = 0
-        for j in range(r):
-            pivot = next(i for i in range(col, dim) if rows[i][j] != 0)
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            lead = rows[col][j]
-            rows[col] = [x / lead for x in rows[col]]
-            for i in range(dim):
-                if i != col and rows[i][j] != 0:
-                    f = rows[i][j]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-            col += 1
-        sol = [rows[i][r] for i in range(r)]
-        if any(x.denominator != 1 for x in sol):
-            raise SystemMismatch("conjugated simple roots do not span the root lattice")
-        return tuple(int(x) for x in sol)
 
     def length_of(self, w: WeylElement) -> int:
         """Coxeter length of a base-system element relative to this system."""

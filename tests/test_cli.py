@@ -10,7 +10,8 @@ from oddlength import cli, engine, errors
 from oddlength.cartan import CartanType, root_system
 from oddlength.cli import main
 from oddlength.engine import run_partitioned
-from oddlength.gf import signed_gf
+from oddlength.gf import _domain_levels, signed_gf
+from oddlength.poly import Poly
 from oddlength.weyl import enumerate_group, window_to_element
 
 A2_GOLDEN = '{"vars":["x"],"terms":[{"e":[0],"c":1},{"e":[2],"c":-1}]}'
@@ -333,10 +334,58 @@ def test_gf_bad_parts_list_is_usage_error(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_gf_engine_rejects_restrictions(capsys):
-    code, _, _ = run(capsys, "gf", "--type", "A3", "--restrict", "unimodal",
-                     "--threads", "2")
+@pytest.mark.parametrize("value", [",", "", " , "])
+def test_gf_parts_list_naming_no_part_is_usage_error(capsys, value):
+    code, out, err = run(capsys, "gf", "--type", "E6", "--parts", value)
     assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, profile, restriction", [
+    ("A5", "odd-length", "unimodal"),
+    ("A6", "odd-length", "chessboard"),
+    ("D5", "D-bivar", "good-chessboard"),
+])
+def test_gf_restricted_runs_take_the_engine_flags(capsys, name, profile, restriction):
+    n_parts = len(_domain_levels(restriction, CartanType.parse(name))[0])
+    argv = ("gf", "--type", name, "--profile", profile, "--restrict", restriction, "--json")
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--threads", "2")[1] == plain
+    code, out, err = run(capsys, *argv, "--progress")
+    assert code == 0 and out == plain
+    assert _progress_counts(err)[-1] == f"{n_parts}/{n_parts}"
+    # A6's chessboard domain is a single part, so its split is that part alone
+    halves = [range(n_parts)[: n_parts // 2], range(n_parts)[n_parts // 2:]]
+    total = None
+    for half in filter(None, halves):
+        code, out, _ = run(capsys, *argv, "--parts", ",".join(map(str, half)))
+        assert code == 0
+        total = Poly.loads(out) if total is None else total + Poly.loads(out)
+    assert total.dumps() + "\n" == plain
+
+
+def test_gf_restricted_text_counts_elements_and_parts(capsys):
+    code, out, _ = run(capsys, "gf", "--type", "A5", "--restrict", "unimodal")
+    assert code == 0
+    assert "32 elements, 32/32 parts  " in out
+    code, out, _ = run(capsys, "gf", "--type", "A5", "--restrict", "unimodal", "--parts", "0,1")
+    assert code == 0
+    assert "2 elements, 2/32 parts  " in out
+
+
+def test_gf_restricted_checkpoint_is_refused_before_any_part(capsys, monkeypatch, tmp_path):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a part was started for a run that cannot be checkpointed")
+
+    monkeypatch.setattr(engine._Split, "build", no_build)
+    code, out, err = run(capsys, "gf", "--type", "A5", "--restrict", "unimodal",
+                         "--checkpoint", str(tmp_path / "a5.ckpt"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gf_text_mentions_prediction(capsys):
@@ -455,7 +504,7 @@ def test_every_error_class_ends_in_its_exit_code(capsys, monkeypatch, cls):
     def boom(*args, **kwargs):
         raise cls("injected")
 
-    monkeypatch.setattr(cli, "signed_gf", boom)
+    monkeypatch.setattr(cli, "run_partitioned", boom)
     code, out, err = run(capsys, "gf", "--type", "A2")
     assert code == EXIT_CODES[cls] == cls.exit_code
     assert out == "" and err == "error: injected\n"

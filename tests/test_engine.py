@@ -433,6 +433,31 @@ def test_profile_restricted_to_odd_length():
         run_partitioned(F4, profile="B-4var")
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"unsigned": True},
+    {"profile": "D-bivar", "restriction": "good-chessboard"},
+], ids=["unsigned", "restricted"])
+def test_checkpoint_refused_for_runs_it_cannot_record(tmp_path, monkeypatch, kwargs):
+    def no_build(*args, **kw):
+        raise AssertionError("a part was started for a run that cannot be checkpointed")
+
+    monkeypatch.setattr(engine._Split, "build", no_build)
+    path = tmp_path / "run.ckpt"
+    ct = CartanType.parse("D5") if "restriction" in kwargs else F4
+    with pytest.raises(UnsupportedProfile):
+        run_partitioned(ct, checkpoint_path=str(path), **kwargs)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name, profile", [("E6", "odd-length"), ("B5", "B-4var")])
+def test_unsigned_pool_equals_one_process(name, profile):
+    ct = CartanType.parse(name)
+    alone = run_partitioned(ct, profile, unsigned=True)
+    pooled = run_partitioned(ct, profile, unsigned=True, workers=2)
+    assert pooled.poly.dumps() == alone.poly.dumps()
+    assert alone.poly.eval_int((1,) * len(alone.poly.vars)) == group_order(ct)
+
+
 def test_full_e8_polynomial():
     res = run_partitioned(CartanType.parse("E8"), workers=4, allow_large=True)
     expect = {
