@@ -23,7 +23,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidRank, NonTerminating, Overflow
+from .errors import BudgetExceeded, IndexOutOfRange, InvalidRank, NonTerminating, Overflow
 
 __all__ = [
     "CartanType",
@@ -40,6 +40,9 @@ Coords = tuple[int, ...]
 _EXCEPTIONAL_RANK = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
 
 _MAX_ROOTS = int(np.iinfo(np.int16).max)  # root indices are int16 (weyl, engine)
+# the closure and its tables take about 0.3 us per positive root x rank^2
+# on a 2-core x86 machine, so what this refuses would take 3 s or more
+_MAX_BUILD = 10**7
 
 # Edges of the simply laced E diagrams, Bourbaki numbering shifted to 0-based.
 _E8_EDGES = ((0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3))
@@ -333,6 +336,11 @@ def build_root_system(ctype: CartanType) -> RootSystem:
             " int16 root indices can hold"
         )
     r = ctype.rank
+    if count * r * r > _MAX_BUILD:
+        raise BudgetExceeded(
+            f"{ctype} has {count} positive roots at rank {r}: roots x rank^2 ="
+            f" {count * r * r:,}, past the {_MAX_BUILD:,} a root system build may take"
+        )
     simples: list[Coords] = [tuple(int(i == j) for i in range(r)) for j in range(r)]
     positive = _close_positive_roots(ctype, simples)
     system = RootSystem(ctype, sorted(positive))

@@ -6,8 +6,9 @@ generating function, ``verify`` runs identity checks and reports pass/fail
 per identity.
 
 Exit codes: 0 all good, 1 at least one verification mismatch, 2 usage
-error, 3 budget/range/checkpoint/worker trouble; every package error names
-its own code (see errors.py).  Diagnostics go to stderr, results to stdout.
+error, 3 budget/range/checkpoint trouble or a repeatedly failing part;
+every package error names its own code (see errors.py).  Diagnostics go to
+stderr, results to stdout.
 """
 
 from __future__ import annotations
@@ -228,7 +229,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gf = command("gf", _cmd_gf, "compute a signed generating function")
     p_gf.add_argument("--profile", default="odd-length")
     p_gf.add_argument("--restrict", default="full", choices=tuple(RESTRICTIONS))
-    p_gf.add_argument("--threads", type=_positive_int, default=1)
+    p_gf.add_argument("--threads", type=_positive_int, default=1,
+                      help="compute parts on this many threads (default 1);"
+                      " the result does not depend on it")
     p_gf.add_argument("--checkpoint", help="checkpoint file path")
     p_gf.add_argument("--resume", action="store_true",
                       help="pick up completed parts from --checkpoint")

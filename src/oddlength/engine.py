@@ -295,73 +295,36 @@ class Checkpoint:
 # ---------------------------------------------------------------------------
 # partitioned driver
 
-_WORKER_SPLIT: _Split | None = None
 _CHECKPOINT_INTERVAL = 1.0  # seconds between checkpoint writes while parts land
+_TRIES = 3  # a part that raises this many times ends the run
 
 
-def _one_blas_thread() -> None:
-    """Cap numpy's bundled OpenBLAS at one thread; a no-op when it has none."""
+def _blas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
     import ctypes
     import glob
 
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in glob.glob(os.path.join(libs, "*openblas*")):
         lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                return
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+            names = (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+            if all(hasattr(lib, name) for name in names):
+                return tuple(getattr(lib, name) for name in names)
+    return None
 
 
-def _init_worker(split: _Split) -> None:
-    # each worker is one core's worth of work, so its BLAS gets one thread;
-    # the split reaches it through fork, unpickled
-    global _WORKER_SPLIT
-    _WORKER_SPLIT = split
-    _one_blas_thread()
-
-
-def _worker_part(index: int, unsigned: bool) -> np.ndarray:
-    assert _WORKER_SPLIT is not None
-    return _WORKER_SPLIT.part_coeffs(index, unsigned)
-
-
-def _run_pool(split: _Split, jobs, workers: int, unsigned: bool, finish) -> None:
-    """Compute jobs on a fork pool, finishing each in the parent as it lands.
-    A part that raises is retried twice; a dead worker ends the run."""
-    import multiprocessing as mp
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-    from concurrent.futures.process import BrokenProcessPool
-
-    pool = ProcessPoolExecutor(
-        workers,
-        mp_context=mp.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(split,),
-    )
-    failures: dict[int, int] = {}
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin numpy's bundled OpenBLAS to one thread for the block, then give
+    it back its previous thread count; a no-op when it has none."""
+    get, put = _blas_threads() or (lambda: None, lambda n: None)
+    previous = get()
+    put(1)
     try:
-        pending = {pool.submit(_worker_part, i, unsigned): (i, m) for i, m in jobs}
-        while pending:
-            retry = {}
-            for fut in as_completed(pending):
-                i, m = pending[fut]
-                try:
-                    coeffs = fut.result()
-                except BrokenProcessPool as exc:
-                    raise WorkerFailure(f"a worker died while computing part {i}") from exc
-                except Exception as exc:
-                    failures[i] = failures.get(i, 0) + 1
-                    if failures[i] > 2:
-                        raise WorkerFailure(f"part {i} failed repeatedly: {exc}") from exc
-                    retry[pool.submit(_worker_part, i, unsigned)] = (i, m)
-                    continue
-                finish(i, m, coeffs)
-            pending = retry
+        yield
     finally:
-        pool.shutdown(cancel_futures=True)
+        put(previous)
 
 
 def _check_writable(path: str) -> None:
@@ -397,12 +360,16 @@ def run_partitioned(
     which holds signed full-group runs only.  The suffix matrices are built
     only when some part is still to do.
 
+    workers > 1 computes the parts on that many threads of this process;
+    merging stays in the calling thread.  A part that raises is tried
+    _TRIES times in all, then the run ends in WorkerFailure.
+
     Each landed tally (and its w0 mirror) is added into one running int64
     array, which becomes a polynomial only when the checkpoint is written:
     at most once every _CHECKPOINT_INTERVAL seconds, and once when the
     parts loop ends, also by WorkerFailure or KeyboardInterrupt (unless that
-    stopped a merge halfway).  A killed parent so loses at most one interval
-    of parts; a failed worker none.
+    stopped a merge halfway).  A killed process so loses at most one
+    interval of parts; a failing part none.
     """
     start = time.perf_counter()
     resolved = resolve_profile(profile, ctype)
@@ -473,13 +440,29 @@ def run_partitioned(
                     flush=True,
                 )
 
-        jobs = split.pairs(todo)
+        def attempt(job: tuple[int, int | None]):
+            i, m = job
+            for tries in range(1, _TRIES + 1):
+                try:
+                    return i, m, split.part_coeffs(i, unsigned)
+                except Exception as exc:
+                    if tries == _TRIES:
+                        raise WorkerFailure(f"part {i} failed repeatedly: {exc}") from exc
+
         try:
-            if workers > 1:
-                _run_pool(split, jobs, workers, unsigned, finish)
-            else:
-                for i, m in jobs:
-                    finish(i, m, split.part_coeffs(i, unsigned))
+            with contextlib.ExitStack() as threads:
+                part_map = map  # one worker: in the caller, BLAS untouched
+                if workers > 1:
+                    from concurrent.futures import ThreadPoolExecutor
+
+                    # each thread is one core's worth of work; BLAS threads on
+                    # top of it would oversubscribe the machine
+                    threads.enter_context(_one_blas_thread())
+                    pool = ThreadPoolExecutor(workers)
+                    threads.callback(pool.shutdown, cancel_futures=True)
+                    part_map = pool.map
+                for i, m, coeffs in part_map(attempt, split.pairs(todo)):
+                    finish(i, m, coeffs)
         except BaseException:
             # every merged part still reaches the checkpoint, unless a Ctrl-C
             # stopped a merge halfway; a failing write must not replace the

@@ -3,7 +3,7 @@
 Each class carries the exit code the command line ends with when it is
 raised: 2 for a request that is malformed or undefined (usage), 3 for one
 that is well formed but past a size, range or resource limit, or that
-checkpoint or worker trouble stopped.
+checkpoint trouble or a part failing on every try stopped.
 """
 
 
@@ -38,7 +38,7 @@ class NonTerminating(OddLengthError):
 
 
 class BudgetExceeded(OddLengthError):
-    """Requested enumeration is larger than the configured element budget."""
+    """Requested enumeration or root system build past its budget."""
     exit_code = 3
 
 
@@ -81,7 +81,7 @@ class CheckpointCorrupt(OddLengthError):
 
 
 class WorkerFailure(OddLengthError):
-    """A partition worker failed repeatedly."""
+    """A part of a partitioned run raised on each of its tries."""
     exit_code = 3
 
 

@@ -144,6 +144,15 @@ def test_roots_past_int16_indices_exit_3(capsys, name):
     assert "32767" in err
 
 
+def test_roots_past_the_build_budget_exit_3(capsys):
+    # A255 fits int16 indices, but its closure would run for minutes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "roots", "--type", "A255")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("error: A255 has 32640 positive roots") and err.count("\n") == 1
+
+
 def test_verify_no_prediction_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--type", "G2")
     assert code == 2

@@ -2,7 +2,7 @@
 
 import json
 import os
-import signal
+import threading
 from math import prod
 
 import numpy as np
@@ -396,31 +396,99 @@ def test_subset_with_one_pair_member():
         assert run_partitioned(E6, parts=subset, workers=2).poly == expect
 
 
-def test_dead_worker_raises_worker_failure(monkeypatch):
-    def die(self, part_index, unsigned=False):
-        os._exit(1)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_part_is_retried_then_fails(monkeypatch, workers):
+    calls = []
 
-    def hung(signum, frame):
-        raise TimeoutError("run_partitioned hung after a worker died")
-
-    monkeypatch.setattr(engine._Split, "part_coeffs", die)
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(30)
-    try:
-        with pytest.raises(WorkerFailure):
-            run_partitioned(E6, workers=2)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def test_failing_part_is_retried_then_fails(monkeypatch):
     def fail(self, part_index, unsigned=False):
+        calls.append(part_index)
         raise RuntimeError("injected")
 
     monkeypatch.setattr(engine._Split, "part_coeffs", fail)
-    with pytest.raises(WorkerFailure, match="failed repeatedly"):
-        run_partitioned(F4, workers=2, parts=[0])
+    with pytest.raises(WorkerFailure, match="part 0 failed repeatedly: injected"):
+        run_partitioned(F4, workers=workers, parts=[0])
+    assert calls == [0, 0, 0]
+
+
+def test_failing_part_cancels_the_parts_still_pending(monkeypatch):
+    calls = []
+    real = engine._Split.part_coeffs
+
+    def flaky(self, part_index, unsigned=False):
+        calls.append(part_index)
+        if part_index == 0:
+            raise RuntimeError("injected")
+        return real(self, part_index, unsigned)
+
+    monkeypatch.setattr(engine._Split, "part_coeffs", flaky)
+    with pytest.raises(WorkerFailure):
+        run_partitioned(E8, workers=2, allow_large=True)
+    # three tries of part 0 and the few parts the other thread had started,
+    # not the 120 jobs of a whole run
+    assert calls.count(0) == 3
+    assert len(calls) < 20
+
+
+@pytest.mark.parametrize("name, profile", [("E6", "odd-length"), ("B5", "B-4var")])
+@pytest.mark.parametrize("unsigned", [False, True], ids=["signed", "unsigned"])
+def test_threads_need_no_fork(monkeypatch, name, profile, unsigned):
+    ct = CartanType.parse(name)
+    alone = run_partitioned(ct, profile, unsigned=unsigned).poly.dumps()
+
+    def no_fork():
+        raise AssertionError("a run forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    threaded = run_partitioned(ct, profile, unsigned=unsigned, workers=2)
+    assert threaded.poly.dumps() == alone
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["finished", "failed"])
+def test_blas_thread_count_is_restored(monkeypatch, fails):
+    blas = engine._blas_threads()
+    if blas is None:
+        pytest.skip("numpy has no bundled OpenBLAS thread setter")
+    get, put = blas
+    seen = []
+    real = engine._Split.part_coeffs
+
+    def watched(self, part_index, unsigned=False):
+        seen.append(get())
+        if fails:
+            raise RuntimeError("injected")
+        return real(self, part_index, unsigned)
+
+    monkeypatch.setattr(engine._Split, "part_coeffs", watched)
+    before = get()
+    put(2)  # a count the run must change and give back, also on one core
+    try:
+        if fails:
+            with pytest.raises(WorkerFailure):
+                run_partitioned(F4, workers=2)
+        else:
+            run_partitioned(F4, workers=2)
+        assert get() == 2
+    finally:
+        put(before)
+    assert seen and set(seen) == {1}
+
+
+def test_threads_started_at_most_one_per_job(monkeypatch):
+    jobs = len(engine._Split.build(root_system(F4)).pairs(range(24)))
+    assert jobs == 12
+    alive = []
+    real = engine._Split.part_coeffs
+
+    def counted(self, part_index, unsigned=False):
+        alive.append(threading.active_count())
+        return real(self, part_index, unsigned)
+
+    monkeypatch.setattr(engine._Split, "part_coeffs", counted)
+    baseline = threading.active_count()
+    res = run_partitioned(F4, workers=64)
+    assert max(alive) - baseline <= jobs
+    assert threading.active_count() == baseline
+    assert res.poly.dumps() == run_partitioned(F4).poly.dumps()
 
 
 def test_large_group_needs_opt_in():

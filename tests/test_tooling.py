@@ -6,8 +6,13 @@ trimmed export would otherwise show up only when the benchmark runs.
 """
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
+
+import oddlength
 
 # module -> attribute paths that bench/run.py reads or patches
 BENCH_NAMES = {
@@ -43,3 +48,16 @@ def test_package_exports_exist():
     for module in ("", ".cartan", ".weyl", ".stats", ".poly", ".gf", ".engine"):
         mod = importlib.import_module("oddlength" + module)
         assert [n for n in mod.__all__ if not hasattr(mod, n)] == [], module
+
+
+def test_import_loads_no_pool_machinery():
+    # a thread pool is imported only by a run with more than one worker
+    code = (
+        "import sys, oddlength, oddlength.cli; "
+        "print(*sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    src = os.path.dirname(os.path.dirname(oddlength.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == ""
