@@ -1,36 +1,39 @@
 """Exhaustive weighted root counts through the root action.
 
-Every full-group profile is a weighted count of negated roots: root a
-carries an integer weight c_a (1 on the odd roots for odd length, a mixed
-radix code of the variables counting a otherwise, see gf.root_weights), and
-an element w gets the code sum of c_a over the roots a that w sends negative.
+Every profile is a weighted count of negated roots: root a carries an
+integer weight c_a (1 on the odd roots for odd length, a mixed radix code of
+the variables counting a otherwise, see gf.root_weights), and an element w
+gets the code sum of c_a over the roots a that w sends negative.
 
 A domain is any list of levels whose products, one element per level taken
 left to right, give each of its elements once: the parabolic chain for the
 whole group, or the windows of gf._domain_levels for a restricted domain.
-The first level labels the parts, the remaining levels are split into a
-per-part prefix block and a shared suffix block of balanced sizes.  For a
-part q, every element is q p s with p a prefix product and s a suffix
-product, and
+The first level labels the parts.  A part's tally counts its codes, signed
+by parity, in int64, exact since run_partitioned refuses domains of 2^63
+elements or more.  Series in one variable go to the fold, others to the
+kernel.
+
+_Fold.  The state g_v holds, for each positive root b, +c_a if v(a) = b and
+-c_a if v(a) = -b.  Then code(u v) = code(v) + <neg_u, g_v> and
+g_{u v}(tgt_u(b)) = (1 - 2 neg_u(b)) g_v(b), so the levels after the first
+fold right to left into a few distinct states, each over the roots outer
+levels read, with a tally of width 2K (K = sum c_a + 1), even codes then
+odd: prepending u rolls it by <neg_u, g>, plus K when u is odd.  A part is
+one more such step, summed over the states (E8 has 72).
+
+_Split, the kernel.  Mixed radix weights make the fold's tallies wide and
+its states many (D8 D-bivar folds in 0.30 s, the kernel takes 0.04 s).
+With the levels after the first cut into prefix and suffix blocks,
 
     code(q p s) = sum over weighted roots a of
                   c_a (flag_s(a) XOR negbit_{q p}(target_s(a)))
 
-so one matrix product of the prefix sign-bit matrix against a suffix weight
-matrix of entries +-c_a evaluates a whole part at once.  Each prefix row also
-carries a constant 1 and its parity bit, and each suffix the matching
-weights sum c_a flag_s(a) + K parity_s and K, with K = sum c_a + 1.  The
-product is then the code + K (parity_qp + parity_s) below 3K, whose block
-gives the sign, so a bincount tallies a signed part.
-
-Only the read roots, those that some part times prefix product sends
-negative, can flip a suffix weight; the others only add to the constant.
-Over the read roots many suffixes share one row, so the suffixes are kept
-as their distinct rows, the states, and the bincount weighs each code by
-the number of suffixes behind its state (E8: 184 states for 1,920).
-Entries and partial sums are integers bounded up front below 2^24, exact in
-float32, and the tallies add integer counts in float64, far below 2^53, so
-the result is exact and independent of part order.
+for a part q, so one float32 matrix product of the prefix sign bits (with 1
+and the parity of q p) against the suffixes (+-c_a, c_a flag_s(a) +
+K parity_s and K) gives code + K (parity_qp + parity_s), whose block below
+3K gives the sign, for a whole part, and a bincount tallies it.  Suffixes
+are kept as their distinct rows over the roots some q p reads, weighted by
+count.  All entries and partial sums are integers below 2^24.
 
 The longest element w0 halves the work: it negates every positive root, so
 code(w0 w) = K - 1 - code(w) and length(w0 w) = N - length(w), and left
@@ -54,8 +57,9 @@ from math import prod
 
 import numpy as np
 
-from .cartan import CartanType, RootSystem, root_system
+from .cartan import CartanType, RootSystem, group_order, root_system
 from .errors import (
+    BudgetExceeded,
     CheckpointCorrupt,
     CheckpointUnwritable,
     PartOutOfRange,
@@ -74,6 +78,8 @@ __all__ = ["odd_length_gf_by_roots", "run_partitioned", "Checkpoint"]
 
 _BLOCK_FLOATS = 1 << 15  # codes per matrix product: larger ones fault in fresh pages
 _FLOAT32_EXACT = 1 << 24  # integers up to here are exact in float32
+_FOLD_BYTES = 1 << 30  # working memory of one fold level
+_EXACT_ELEMENTS = 1 << 63  # int64 tallies count domains below this exactly
 
 Levels = list[list[WeylElement]]  # one element per level, multiplied left to right
 
@@ -103,17 +109,136 @@ def _longest(system: RootSystem, levels: Levels) -> WeylElement:
     return reduce(multiply, [level[-1] for level in levels], identity(system))
 
 
+def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of the rows of a 2-d integer table, compared exactly
+    as bytes: table[first] holds each distinct row once, in the order of
+    their bytes, and table[first][inverse] is table."""
+    if not table.shape[1]:  # every row is the empty row
+        return np.zeros(1, dtype=np.intp), np.zeros(len(table), dtype=np.intp)
+    rowbytes = np.dtype((np.void, table.itemsize * table.shape[1]))
+    _, first, inverse = np.unique(
+        np.ascontiguousarray(table).view(rowbytes).ravel(), return_index=True, return_inverse=True
+    )
+    return first, inverse
+
+
 @dataclass
-class _Split:
+class _Parts:
+    """A domain's parts as the parts loop sees them; each engine below adds
+    part_coeffs(i, unsigned), the signed (or unsigned) code tally of part i
+    as an int64 vector of length k."""
     system: RootSystem
-    parts: list[WeylElement]          # outermost transversal
+    parts: list[WeylElement]          # first level of the domain
     mirror: list[int]                 # index of the part holding w0 * part
+    k: int                            # sum of the weights + 1
+
+    @staticmethod
+    def mirrors(system: RootSystem, chain: Levels, restricted: bool) -> list[int]:
+        """mirror for the parts of chain; a restricted part is its own."""
+        if restricted:
+            return list(range(len(chain[0])))
+        # w0 q W_J has the minimal representative w0 q w0_J, w0_J longest in
+        # W_J; as in WeylElement.key, elements agree on the first r roots
+        w0_j = _longest(system, chain[1:])
+        w0, r, n = multiply(chain[0][-1], w0_j), system.rank, system.size
+        tgt = np.stack([q.tgt for q in chain[0]]).astype(np.intp)
+        neg = np.stack([q.neg for q in chain[0]])
+        t = tgt[:, w0_j.tgt[:r]]
+        image = w0.tgt[t] + n * (w0_j.neg[:r] ^ neg[:, w0_j.tgt[:r]] ^ w0.neg[t]).astype(np.intp)
+        keys = tgt[:, :r] + n * neg[:, :r].astype(np.intp)
+        index = {row.tobytes(): i for i, row in enumerate(keys)}
+        return [index[row.tobytes()] for row in image]
+
+    def mirrored(self, coeffs: np.ndarray, unsigned: bool = False) -> np.ndarray:
+        """Tally of the mirror part, given the tally of its partner."""
+        flipped = coeffs[::-1]
+        return flipped if unsigned or self.system.size % 2 == 0 else -flipped
+
+    def pairs(self, todo) -> list[tuple[int, int | None]]:
+        """Parts to compute, each with the part its tally mirrors to.  A fixed
+        part, or one whose mirror is not in todo, comes with None."""
+        left = set(todo)
+        out = []
+        for i in todo:
+            if i in left:
+                left.discard(i)
+                m = self.mirror[i]
+                out.append((i, m if m in left else None))
+                left.discard(m)
+        return out
+
+
+@dataclass
+class _Fold(_Parts):
+    states: np.ndarray                # distinct states x roots the parts read
+    tallies: np.ndarray               # states x (even codes, then odd), int64
+    shifts: np.ndarray                # parts x states: <neg_q, g> + K parity_q
+
+    @classmethod
+    def build(
+        cls, system: RootSystem, weights: np.ndarray | None = None, levels: Levels | None = None
+    ) -> "_Fold":
+        """Fold of the levels after the first (of the whole group's chain by
+        default) for integer root weights (1 on the odd roots by default)."""
+        if weights is None:
+            weights = np.array(system.odd_mask, dtype=np.int64)
+        chain = levels or transversal_chain(system)
+        n, k = system.size, int(weights.sum()) + 1
+        dtype = np.min_scalar_type(-int(weights.max()))
+        # every level stacked, level j in rows ends[j]:ends[j + 1]; src_u is
+        # tgt_u^-1, so that g_{u v}(c) = sign_u(c) g_v(src_u(c))
+        flat = [u for level in chain for u in level]
+        ends = np.cumsum([0] + [len(level) for level in chain])
+        tgt, neg = np.stack([u.tgt for u in flat]).astype(np.intp), np.stack([u.neg for u in flat])
+        every, src = np.arange(len(flat))[:, None], np.empty_like(tgt)
+        src[every, tgt] = np.arange(n)
+        sign = 1 - 2 * neg[every, src].astype(dtype)
+        odd = k * np.array([u.parity for u in flat])  # a roll by K swaps the halves
+        # cols[j]: the roots levels 0..j-1 read, u reading supp(neg_u) and
+        # tgt_u^-1 of what the levels before it read; a state needs no other
+        read = [np.zeros(n, dtype=bool)]
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            read.append(neg[lo:hi].any(axis=0) | read[-1][tgt[lo:hi]].any(axis=0))
+        cols = [np.flatnonzero(r) for r in read]
+        # one state, the empty product's: code 0, even
+        states, tallies = weights[cols[-1]].astype(dtype)[None, :], np.eye(1, 2 * k, dtype=np.int64)
+        for j in range(len(chain) - 1, 0, -1):
+            (lo, hi), have, keep = ends[j:j + 2], cols[j + 1], cols[j]
+            rowbytes = len(keep) * states.itemsize + 32 * k  # image, tally, its codes
+            if len(states) * (hi - lo) * rowbytes > _FOLD_BYTES:
+                raise BudgetExceeded(
+                    f"folding {system.ctype} takes {len(states)} states x {hi - lo} elements"
+                    f" x {rowbytes} bytes at one level, past its cap of {_FOLD_BYTES:,} bytes"
+                )
+            shift = states.astype(np.int64) @ neg[lo:hi, have].T + odd[lo:hi]
+            at = np.searchsorted(have, src[lo:hi, keep])
+            images = (states[:, at] * sign[lo:hi, keep]).reshape(len(states) * (hi - lo), -1)
+            first, inverse = _distinct_rows(images)
+            # code c of a state lands at c + shift in the tally of its image
+            code = (np.arange(2 * k) + shift[:, :, None]) % (2 * k)
+            code += 2 * k * inverse.reshape(shift.shape)[:, :, None]
+            folded = np.zeros(len(first) * 2 * k, dtype=np.int64)
+            np.add.at(folded, code.ravel(), np.broadcast_to(tallies[:, None], code.shape).ravel())
+            states, tallies = images[first], folded.reshape(len(first), 2 * k)
+        shifts = neg[:ends[1], cols[1]] @ states.T.astype(np.int64) + odd[:ends[1], None]
+        mirror = cls.mirrors(system, chain, levels is not None)
+        return cls(system, chain[0], mirror, k, states, tallies, shifts)
+
+    def part_coeffs(self, part_index: int, unsigned: bool = False) -> np.ndarray:
+        """Signed tally of codes over one part, as an int64 vector."""
+        k = self.k
+        code = (np.arange(2 * k) - self.shifts[part_index][:, None]) % (2 * k)
+        tally = self.tallies[np.arange(len(code))[:, None], code].sum(axis=0)
+        return tally[:k] + tally[k:] if unsigned else tally[:k] - tally[k:]
+
+
+@dataclass
+class _Split(_Parts):
     ptgt: np.ndarray                  # prefix products x read roots, stacked
     pneg: np.ndarray
     pparity: np.ndarray
     states: np.ndarray                # distinct suffix rows x (read roots + 2), float32
     counts: np.ndarray                # suffixes per state, float64, once per prefix row
-    k: int                            # sum of the weights + 1
     block: int                        # prefix rows per product
 
     @classmethod
@@ -161,21 +286,12 @@ class _Split:
             rows[np.arange(len(rows))[:, None], column[tgt[lo:lo + fill]]] = np.where(f, -c, c)
             rows[:, -2] = f @ c + k * sparity[lo:lo + fill].astype(np.int64)
         table[:, -1] = k
-        rowbytes = np.dtype((np.void, table.itemsize * width))
-        _, first, counts = np.unique(
-            table.view(rowbytes).ravel(), return_index=True, return_counts=True
-        )
+        first, inverse = _distinct_rows(table)
         states = table[first].astype(np.float32)
-        block = max(1, _BLOCK_FLOATS // len(states))
-
-        mirror = list(range(len(parts)))  # a restricted part is its own mirror
-        if levels is None:
-            # w0 q W_J has the minimal representative w0 q w0_J, w0_J longest in W_J
-            w0, w0_j = _longest(system, chain), _longest(system, rest)
-            index = {q.key(): i for i, q in enumerate(parts)}
-            mirror = [index[multiply(multiply(w0, q), w0_j).key()] for q in parts]
-        counts = np.tile(counts.astype(np.float64), block)  # the weights of a whole block
-        return cls(system, parts, mirror, ptgt, pneg, pparity, states, counts, k, block)
+        block = max(64, _BLOCK_FLOATS // len(states))  # narrower products cost more
+        counts = np.tile(np.bincount(inverse).astype(np.float64), block)  # a whole block's weights
+        mirror = cls.mirrors(system, chain, levels is not None)
+        return cls(system, parts, mirror, k, ptgt, pneg, pparity, states, counts, block)
 
     def part_coeffs(self, part_index: int, unsigned: bool = False) -> np.ndarray:
         """Signed tally of codes over one part, as an int64 vector."""
@@ -194,24 +310,6 @@ class _Split:
         b0, b1, b2 = tally.reshape(3, self.k)
         return b0 + b1 + b2 if unsigned else b0 - b1 + b2
 
-    def mirrored(self, coeffs: np.ndarray, unsigned: bool = False) -> np.ndarray:
-        """Tally of the mirror part, given the tally of its partner."""
-        flipped = coeffs[::-1]
-        return flipped if unsigned or self.system.size % 2 == 0 else -flipped
-
-    def pairs(self, todo) -> list[tuple[int, int | None]]:
-        """Parts to compute, each with the part its tally mirrors to.  A fixed
-        part, or one whose mirror is not in todo, comes with None."""
-        left = set(todo)
-        out = []
-        for i in todo:
-            if i in left:
-                left.discard(i)
-                m = self.mirror[i]
-                out.append((i, m if m in left else None))
-                left.discard(m)
-        return out
-
 
 def _coeffs_to_poly(
     coeffs: np.ndarray, dims: tuple[int, ...] | None = None, vars: tuple[str, ...] = ("x",)
@@ -227,9 +325,15 @@ def _coeffs_to_poly(
 
 def odd_length_gf_by_roots(system: RootSystem, *, unsigned: bool = False) -> Poly:
     """Odd-length series over the whole group of system's type, with no
-    element budget.  This is one run_partitioned call, the same parts loop
-    and kernel as signed_gf, so it is no independent check of signed_gf."""
-    return run_partitioned(system.ctype, unsigned=unsigned, allow_large=True).poly
+    element budget, summed from the kernel's part tallies and their mirrors.
+    signed_gf folds every one-variable series, so this second method
+    checks the fold against the kernel."""
+    split = _Split.build(system)
+    total = np.zeros(split.k, dtype=np.int64)
+    for i, m in split.pairs(range(len(split.parts))):
+        coeffs = split.part_coeffs(i, unsigned)
+        total += coeffs if m is None else coeffs + split.mirrored(coeffs, unsigned)
+    return _coeffs_to_poly(total)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +461,8 @@ def run_partitioned(
     and merging is plain addition, so completion order cannot change the
     result.  parts restricts the run to a subset (partial sums are
     meaningful and reproducible); resume continues from checkpoint_path,
-    which holds signed full-group runs only.  The suffix matrices are built
-    only when some part is still to do.
+    which holds signed full-group runs only.  The engine (_Fold for one
+    variable, _Split for several) is built only when some part is still to do.
 
     workers > 1 computes the parts on that many threads of this process;
     merging stays in the calling thread.  A part that raises is tried
@@ -376,6 +480,12 @@ def run_partitioned(
     if not allow_large:
         check_budget(ctype, budget)
     windows = _domain_levels(restriction, ctype)
+    size = group_order(ctype) if windows is None else prod(map(len, windows))
+    if size >= _EXACT_ELEMENTS:
+        raise BudgetExceeded(
+            f"{ctype}: a domain of about 10^{len(str(size)) - 1} elements is past 2^63,"
+            " the most that int64 tallies count exactly"
+        )
     if checkpoint_path and (windows is not None or unsigned):
         kind = "unsigned counts" if unsigned else f"the {restriction} restriction"
         raise UnsupportedProfile(f"a checkpoint records signed full-group runs, not {kind}")
@@ -399,7 +509,7 @@ def run_partitioned(
     weights, dims = root_weights(resolved, system)
 
     if todo:
-        split = _Split.build(system, weights, domain)
+        split = (_Fold if len(dims) == 1 else _Split).build(system, weights, domain)
         tally = np.zeros(split.k, dtype=np.int64)  # parts in ck.done, not yet in ck.partial
         landed = 0
         merging = False  # ck.done and the tally may disagree while set

@@ -285,17 +285,17 @@ def test_gf_resume_ignores_a_stale_tmp_file(capsys, tmp_path):
 
 
 def test_gf_worker_failure_keeps_merged_parts(capsys, monkeypatch, tmp_path):
-    split = engine._Split.build(root_system(F4))
+    split = engine._Fold.build(root_system(F4))
     tallies = [split.part_coeffs(i) for i in range(24)]
     bad = split.pairs(range(24))[-1][0]
-    real = engine._Split.part_coeffs
+    real = engine._Fold.part_coeffs
 
     def flaky(self, part_index, unsigned=False):
         if part_index == bad:
             raise RuntimeError("injected")
         return real(self, part_index, unsigned)
 
-    monkeypatch.setattr(engine._Split, "part_coeffs", flaky)
+    monkeypatch.setattr(engine._Fold, "part_coeffs", flaky)
     ck = str(tmp_path / "f4.ckpt")
     code, out, err = run(capsys, "gf", "--type", "F4", "--threads", "2",
                          "--checkpoint", ck, "--json")
@@ -324,7 +324,7 @@ def test_gf_progress_one_line_per_merged_job(capsys):
     assert code == 0
     assert out == run(capsys, "gf", "--type", "F4", "--json")[1]
     counts = _progress_counts(err)
-    assert len(counts) == len(engine._Split.build(root_system(F4)).pairs(range(24)))
+    assert len(counts) == len(engine._Fold.build(root_system(F4)).pairs(range(24)))
     assert counts[-1] == "24/24"
 
 
@@ -388,7 +388,7 @@ def test_gf_restricted_checkpoint_is_refused_before_any_part(capsys, monkeypatch
     def no_build(*args, **kwargs):
         raise AssertionError("a part was started for a run that cannot be checkpointed")
 
-    monkeypatch.setattr(engine._Split, "build", no_build)
+    monkeypatch.setattr(engine._Fold, "build", no_build)
     code, out, err = run(capsys, "gf", "--type", "A5", "--restrict", "unimodal",
                          "--checkpoint", str(tmp_path / "a5.ckpt"))
     assert code == 2
@@ -441,7 +441,7 @@ def test_gf_unwritable_checkpoint_exits_3(capsys, monkeypatch, tmp_path):
     def no_build(system):
         raise AssertionError("a part was started before the checkpoint was checked")
 
-    monkeypatch.setattr(engine._Split, "build", no_build)
+    monkeypatch.setattr(engine._Fold, "build", no_build)
     missing = str(tmp_path / "missing" / "x.ckpt")
     code, _, err = run(capsys, "gf", "--type", "E6", "--checkpoint", missing)
     assert code == 3
@@ -479,11 +479,23 @@ def test_gf_multivariate_threads_match_sequential(capsys):
 
 def test_gf_weights_past_float32_exit_3(capsys):
     # B-4var on B26 would need codes of 2.1e7 > 2^24; refused before any build
+    # (B26 also has more than 2^63 elements, and that guard runs first)
     code, out, err = run(capsys, "gf", "--type", "B26", "--profile", "B-4var",
                          "--allow-large", "--parts", "0", "--json")
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_gf_domain_past_int64_exits_3_at_once(capsys):
+    # B17 has 4.7e19 > 2^63 elements: int64 tallies would wrap
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gf", "--type", "B17", "--allow-large")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "2^63" in err
 
 
 EXIT_CODES = {

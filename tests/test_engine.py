@@ -20,7 +20,7 @@ from oddlength.errors import (
     WeightsTooLarge,
     WorkerFailure,
 )
-from oddlength.gf import _domain_levels, resolve_profile, root_weights, signed_gf
+from oddlength.gf import RESTRICTIONS, _domain_levels, resolve_profile, root_weights, signed_gf
 from oddlength.poly import Poly
 from oddlength.weyl import (
     _sift,
@@ -39,8 +39,10 @@ E8 = CartanType.parse("E8")
 
 
 def test_partitioned_equals_direct():
+    # the fold, through run_partitioned, against the kernel's part sums
     for ct in (F4, E6):
         assert run_partitioned(ct).poly == signed_gf(ct).poly
+        assert run_partitioned(ct).poly == odd_length_gf_by_roots(root_system(ct))
 
 
 def test_part_counts():
@@ -131,9 +133,9 @@ def test_checkpoint_garbage_rejected(tmp_path):
 
 def test_unwritable_checkpoint_refused_before_any_part(tmp_path, monkeypatch):
     def no_build(system):
-        raise AssertionError("split built for a run that cannot checkpoint")
+        raise AssertionError("engine built for a run that cannot checkpoint")
 
-    monkeypatch.setattr(engine._Split, "build", no_build)
+    monkeypatch.setattr(engine._Fold, "build", no_build)
     with pytest.raises(CheckpointUnwritable):
         run_partitioned(F4, checkpoint_path=str(tmp_path / "missing" / "f4.ckpt"))
 
@@ -143,9 +145,9 @@ def test_finished_resume_builds_nothing(tmp_path, monkeypatch):
     full = run_partitioned(E6, checkpoint_path=path)
 
     def no_build(system):
-        raise AssertionError("split built with no part left to do")
+        raise AssertionError("engine built with no part left to do")
 
-    monkeypatch.setattr(engine._Split, "build", no_build)
+    monkeypatch.setattr(engine._Fold, "build", no_build)
     again = run_partitioned(E6, checkpoint_path=path, resume=True)
     assert again.poly.dumps() == full.poly.dumps()
     assert again.parts_done == tuple(range(27))
@@ -186,7 +188,7 @@ def test_checkpoint_written_once_within_the_interval(tmp_path, monkeypatch):
 
 
 def test_checkpoint_written_each_interval_and_at_the_end(tmp_path, monkeypatch):
-    split = engine._Split.build(root_system(E6))
+    split = engine._Fold.build(root_system(E6))
     tallies = [split.part_coeffs(i) for i in range(27)]
     writes = _recorded_writes(monkeypatch)
     monkeypatch.setattr(engine, "time", _Clock(engine._CHECKPOINT_INTERVAL))
@@ -203,8 +205,8 @@ def test_checkpoint_written_each_interval_and_at_the_end(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("disk_full", [False, True], ids=["saved", "disk-full"])
 def test_interrupt_saves_merged_parts_and_keeps_its_error(tmp_path, monkeypatch, disk_full):
-    split = engine._Split.build(root_system(F4))
-    real = engine._Split.part_coeffs
+    split = engine._Fold.build(root_system(F4))
+    real = engine._Fold.part_coeffs
 
     def interrupted(self, part_index, unsigned=False):
         if part_index == 2:
@@ -214,7 +216,7 @@ def test_interrupt_saves_merged_parts_and_keeps_its_error(tmp_path, monkeypatch,
     def full(self, path):
         raise OSError("no space left on device")
 
-    monkeypatch.setattr(engine._Split, "part_coeffs", interrupted)
+    monkeypatch.setattr(engine._Fold, "part_coeffs", interrupted)
     if disk_full:
         monkeypatch.setattr(Checkpoint, "write", full)
     path = str(tmp_path / "f4.ckpt")
@@ -229,9 +231,9 @@ def test_interrupt_saves_merged_parts_and_keeps_its_error(tmp_path, monkeypatch,
 
 
 def test_interrupt_inside_a_merge_writes_nothing_torn(tmp_path, monkeypatch):
-    split = engine._Split.build(root_system(F4))
+    split = engine._Fold.build(root_system(F4))
     calls = []
-    real = engine._Split.mirrored
+    real = engine._Fold.mirrored
 
     def interrupted(self, coeffs, unsigned=False):
         # the second pair is stopped after its first part reached the tally
@@ -240,7 +242,7 @@ def test_interrupt_inside_a_merge_writes_nothing_torn(tmp_path, monkeypatch):
             raise KeyboardInterrupt
         return real(self, coeffs, unsigned)
 
-    monkeypatch.setattr(engine._Split, "mirrored", interrupted)
+    monkeypatch.setattr(engine._Fold, "mirrored", interrupted)
     monkeypatch.setattr(engine, "time", _Clock(engine._CHECKPOINT_INTERVAL))
     path = str(tmp_path / "f4.ckpt")
     with pytest.raises(KeyboardInterrupt):
@@ -267,21 +269,26 @@ def _assert_pairs_mirror(split, indices):
         assert np.array_equal(split.part_coeffs(m, unsigned=True), unsigned_i[::-1])
 
 
+_ENGINES = (engine._Fold, engine._Split)
+
+
 def test_mirror_pairs_e6_e7():
-    e6 = engine._Split.build(root_system(E6))
-    fixed = [i for i, m in enumerate(e6.mirror) if m == i]
-    assert len(fixed) == 3
-    _assert_pairs_mirror(e6, range(27))
-    e7 = engine._Split.build(root_system(E7))
-    assert all(m != i for i, m in enumerate(e7.mirror))
-    _assert_pairs_mirror(e7, range(56))
+    for engine_class in _ENGINES:
+        e6 = engine_class.build(root_system(E6))
+        fixed = [i for i, m in enumerate(e6.mirror) if m == i]
+        assert len(fixed) == 3
+        _assert_pairs_mirror(e6, range(27))
+        e7 = engine_class.build(root_system(E7))
+        assert all(m != i for i, m in enumerate(e7.mirror))
+        _assert_pairs_mirror(e7, range(56))
 
 
 def test_mirror_pair_e8():
-    e8 = engine._Split.build(root_system(E8))
-    assert all(m != i for i, m in enumerate(e8.mirror))
-    assert len(set(e8.mirror)) == 240
-    _assert_pairs_mirror(e8, [0])
+    for engine_class in _ENGINES:
+        e8 = engine_class.build(root_system(E8))
+        assert all(m != i for i, m in enumerate(e8.mirror))
+        assert len(set(e8.mirror)) == 240
+        _assert_pairs_mirror(e8, [0])
 
 
 # tallies of single parts, computed before the suffix states replaced the
@@ -315,10 +322,11 @@ _PINNED_PARTS = {
 
 @pytest.mark.parametrize("group, part", list(_PINNED_PARTS), ids=str)
 def test_part_tallies_are_pinned(group, part):
-    split = engine._Split.build(root_system(CartanType.parse(group)))
     signed, unsigned = _PINNED_PARTS[group, part]
-    assert split.part_coeffs(part).tolist() == signed
-    assert split.part_coeffs(part, unsigned=True).tolist() == unsigned
+    for engine_class in _ENGINES:
+        split = engine_class.build(root_system(CartanType.parse(group)))
+        assert split.part_coeffs(part).tolist() == signed, engine_class
+        assert split.part_coeffs(part, unsigned=True).tolist() == unsigned, engine_class
 
 
 _SMALL_TYPES = (
@@ -369,6 +377,88 @@ def test_e8_states_are_fewer_than_its_suffixes():
     assert len(split.states) < 1920
 
 
+_ONE_VARIABLE = ("odd-length", "uni-ooe", "uni-eoe", "uni-eoo")
+
+
+@pytest.mark.parametrize("name", [name for name in _SMALL_TYPES if name != "E8"])
+def test_fold_equals_kernel_part_by_part(name):
+    ct = CartanType.parse(name)
+    system = root_system(ct)
+    profiles = _ONE_VARIABLE if ct.family == "B" else _ONE_VARIABLE[:1]
+    for profile in profiles:
+        weights, dims = root_weights(resolve_profile(profile, ct), system)
+        assert len(dims) == 1
+        fold = engine._Fold.build(system, weights)
+        split = engine._Split.build(system, weights)
+        assert (fold.mirror, fold.k) == (split.mirror, split.k)
+        for i in range(len(split.parts)):
+            for unsigned in (False, True):
+                assert np.array_equal(
+                    fold.part_coeffs(i, unsigned), split.part_coeffs(i, unsigned)
+                ), (profile, i, unsigned)
+
+
+def test_e8_folds_to_few_states():
+    fold = engine._Fold.build(root_system(E8))
+    assert len(fold.states) == 72
+    # every state's tally counts its elements: 696,729,600 / 240 parts
+    assert fold.tallies.sum() == 2903040
+
+
+@pytest.mark.parametrize("unsigned", [False, True], ids=["signed", "unsigned"])
+def test_restricted_folds_match_window_oracle(monkeypatch, unsigned):
+    from oracle import RESTRICTION_PREDICATES, gf_by_windows
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a one-variable run built the kernel")
+
+    monkeypatch.setattr(engine._Split, "build", no_build)
+    groups = [f"A{n}" for n in range(1, 8)] + [f"D{n}" for n in range(2, 7)]
+    for ct in map(CartanType.parse, groups):
+        for restriction in ("unimodal", "chessboard", "good-chessboard"):
+            if ct.family not in RESTRICTIONS[restriction]:
+                continue
+            res = run_partitioned(ct, restriction=restriction, unsigned=unsigned)
+            expect = gf_by_windows(ct, resolve_profile("odd-length", ct),
+                                   RESTRICTION_PREDICATES[restriction], unsigned)
+            assert (res.poly, res.elements) == expect, (ct, restriction)
+
+
+@pytest.mark.parametrize("name, profile, restriction, unused", [
+    ("E6", "odd-length", "full", "_Split"),
+    ("B4", "uni-eoe", "full", "_Split"),
+    ("A4", "odd-length", "unimodal", "_Split"),
+    ("B5", "B-4var", "full", "_Fold"),
+    ("D5", "D-bivar", "full", "_Fold"),
+    ("D5", "D-bivar", "good-chessboard", "_Fold"),
+])
+@pytest.mark.parametrize("unsigned", [False, True], ids=["signed", "unsigned"])
+def test_runs_route_by_variable_count(monkeypatch, name, profile, restriction, unused, unsigned):
+    ct = CartanType.parse(name)
+    expect = run_partitioned(ct, profile, restriction, unsigned=unsigned).poly
+
+    def no_build(*args, **kwargs):
+        raise AssertionError(f"{unused} built")
+
+    monkeypatch.setattr(getattr(engine, unused), "build", no_build)
+    assert run_partitioned(ct, profile, restriction, unsigned=unsigned).poly == expect
+
+
+def test_domain_past_int64_refused_before_any_build(monkeypatch):
+    def no_system(ctype):
+        raise AssertionError("root system built for a domain int64 cannot count")
+
+    monkeypatch.setattr(engine, "root_system", no_system)
+    with pytest.raises(BudgetExceeded, match="past 2\\^63"):
+        run_partitioned(CartanType.parse("B17"), allow_large=True)
+
+
+def test_fold_refuses_a_level_past_its_memory_cap(monkeypatch):
+    monkeypatch.setattr(engine, "_FOLD_BYTES", 1 << 12)
+    with pytest.raises(BudgetExceeded, match="at one level"):
+        run_partitioned(CartanType.parse("B6"))
+
+
 def _brute_force(ct, unsigned):
     coeffs = {}
     for w in enumerate_group(root_system(ct)):
@@ -404,7 +494,7 @@ def test_failing_part_is_retried_then_fails(monkeypatch, workers):
         calls.append(part_index)
         raise RuntimeError("injected")
 
-    monkeypatch.setattr(engine._Split, "part_coeffs", fail)
+    monkeypatch.setattr(engine._Fold, "part_coeffs", fail)
     with pytest.raises(WorkerFailure, match="part 0 failed repeatedly: injected"):
         run_partitioned(F4, workers=workers, parts=[0])
     assert calls == [0, 0, 0]
@@ -412,7 +502,7 @@ def test_failing_part_is_retried_then_fails(monkeypatch, workers):
 
 def test_failing_part_cancels_the_parts_still_pending(monkeypatch):
     calls = []
-    real = engine._Split.part_coeffs
+    real = engine._Fold.part_coeffs
 
     def flaky(self, part_index, unsigned=False):
         calls.append(part_index)
@@ -420,7 +510,7 @@ def test_failing_part_cancels_the_parts_still_pending(monkeypatch):
             raise RuntimeError("injected")
         return real(self, part_index, unsigned)
 
-    monkeypatch.setattr(engine._Split, "part_coeffs", flaky)
+    monkeypatch.setattr(engine._Fold, "part_coeffs", flaky)
     with pytest.raises(WorkerFailure):
         run_partitioned(E8, workers=2, allow_large=True)
     # three tries of part 0 and the few parts the other thread had started,
@@ -450,7 +540,7 @@ def test_blas_thread_count_is_restored(monkeypatch, fails):
         pytest.skip("numpy has no bundled OpenBLAS thread setter")
     get, put = blas
     seen = []
-    real = engine._Split.part_coeffs
+    real = engine._Fold.part_coeffs
 
     def watched(self, part_index, unsigned=False):
         seen.append(get())
@@ -458,7 +548,7 @@ def test_blas_thread_count_is_restored(monkeypatch, fails):
             raise RuntimeError("injected")
         return real(self, part_index, unsigned)
 
-    monkeypatch.setattr(engine._Split, "part_coeffs", watched)
+    monkeypatch.setattr(engine._Fold, "part_coeffs", watched)
     before = get()
     put(2)  # a count the run must change and give back, also on one core
     try:
@@ -474,16 +564,16 @@ def test_blas_thread_count_is_restored(monkeypatch, fails):
 
 
 def test_threads_started_at_most_one_per_job(monkeypatch):
-    jobs = len(engine._Split.build(root_system(F4)).pairs(range(24)))
+    jobs = len(engine._Fold.build(root_system(F4)).pairs(range(24)))
     assert jobs == 12
     alive = []
-    real = engine._Split.part_coeffs
+    real = engine._Fold.part_coeffs
 
     def counted(self, part_index, unsigned=False):
         alive.append(threading.active_count())
         return real(self, part_index, unsigned)
 
-    monkeypatch.setattr(engine._Split, "part_coeffs", counted)
+    monkeypatch.setattr(engine._Fold, "part_coeffs", counted)
     baseline = threading.active_count()
     res = run_partitioned(F4, workers=64)
     assert max(alive) - baseline <= jobs
@@ -509,7 +599,8 @@ def test_checkpoint_refused_for_runs_it_cannot_record(tmp_path, monkeypatch, kwa
     def no_build(*args, **kw):
         raise AssertionError("a part was started for a run that cannot be checkpointed")
 
-    monkeypatch.setattr(engine._Split, "build", no_build)
+    for engine_class in (engine._Fold, engine._Split):
+        monkeypatch.setattr(engine_class, "build", no_build)
     path = tmp_path / "run.ckpt"
     ct = CartanType.parse("D5") if "restriction" in kwargs else F4
     with pytest.raises(UnsupportedProfile):

@@ -61,3 +61,22 @@ def test_import_loads_no_pool_machinery():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == ""
+
+
+def test_second_method_runs_the_kernel_and_signed_gf_the_fold(monkeypatch):
+    # odd_length_gf_by_roots stays a check of signed_gf only while the two
+    # run different engines
+    from oddlength import engine
+    from oddlength.cartan import CartanType, root_system
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the engine the other method runs")
+
+    c4 = CartanType.parse("C4")
+    with monkeypatch.context() as patch:
+        patch.setattr(engine._Fold, "build", refuse)
+        by_roots = engine.odd_length_gf_by_roots(root_system(c4))
+    with monkeypatch.context() as patch:
+        patch.setattr(engine._Split, "build", refuse)
+        folded = oddlength.signed_gf(c4).poly
+    assert by_roots == folded
