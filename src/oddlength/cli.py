@@ -230,14 +230,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gf.add_argument("--profile", default="odd-length")
     p_gf.add_argument("--restrict", default="full", choices=tuple(RESTRICTIONS))
     p_gf.add_argument("--threads", type=_positive_int, default=1,
-                      help="compute parts on this many threads (default 1);"
+                      help="compute the parts of a multivariate series on this many"
+                      " threads (default 1); one-variable series run in one thread;"
                       " the result does not depend on it")
     p_gf.add_argument("--checkpoint", help="checkpoint file path")
     p_gf.add_argument("--resume", action="store_true",
                       help="pick up completed parts from --checkpoint")
     p_gf.add_argument("--parts", help="comma separated part indices (partial run)")
     p_gf.add_argument("--allow-large", action="store_true",
-                      help="opt in to runs past the element budget (E8)")
+                      help="opt in to domains past the element budget (E8)")
     p_gf.add_argument("--progress", action="store_true",
                       help="per-part progress, parts/s and ETA on stderr")
     p_gf.add_argument("--json", action="store_true")

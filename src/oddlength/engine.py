@@ -11,7 +11,9 @@ whole group, or the windows of gf._domain_levels for a restricted domain.
 The first level labels the parts.  A part's tally counts its codes, signed
 by parity, in int64, exact since run_partitioned refuses domains of 2^63
 elements or more.  Series in one variable go to the fold, others to the
-kernel.
+kernel.  Both refuse with BudgetExceeded what would take more working
+memory than one cap, _MEMORY_BYTES: the fold level by level, as it learns
+its states, the kernel before it stacks its prefix or suffix table.
 
 _Fold.  The state g_v holds, for each positive root b, +c_a if v(a) = b and
 -c_a if v(a) = -b.  Then code(u v) = code(v) + <neg_u, g_v> and
@@ -33,7 +35,9 @@ and the parity of q p) against the suffixes (+-c_a, c_a flag_s(a) +
 K parity_s and K) gives code + K (parity_qp + parity_s), whose block below
 3K gives the sign, for a whole part, and a bincount tallies it.  Suffixes
 are kept as their distinct rows over the roots some q p reads, weighted by
-count.  All entries and partial sums are integers below 2^24.
+count.  All entries and partial sums are integers below 2^24.  Under the
+memory cap a part has fewer than 2^53 elements (prefix rows x suffixes),
+so the float64 bincount sums over it are exact too.
 
 The longest element w0 halves the work: it negates every positive root, so
 code(w0 w) = K - 1 - code(w) and length(w0 w) = N - length(w), and left
@@ -59,32 +63,35 @@ import numpy as np
 
 from .cartan import CartanType, RootSystem, group_order, root_system
 from .errors import (
-    BudgetExceeded,
-    CheckpointCorrupt,
-    CheckpointUnwritable,
-    PartOutOfRange,
-    UnsupportedProfile,
-    WeightsTooLarge,
-    WorkerFailure,
+    BudgetExceeded, CheckpointCorrupt, CheckpointUnwritable, PartOutOfRange, UnsupportedProfile,
+    WeightsTooLarge, WorkerFailure,
 )
-from .gf import GFResult, _domain_levels, resolve_profile, root_weights
+from .gf import GFResult, _domain_levels, _domain_shape, resolve_profile, root_weights
 from .poly import Poly
 from .weyl import (
-    DEFAULT_BUDGET, WeylElement, check_budget, identity, multiply, transversal_chain,
-    window_to_element,
+    WeylElement, check_budget, identity, multiply, transversal_chain, window_to_element,
 )
 
 __all__ = ["odd_length_gf_by_roots", "run_partitioned", "Checkpoint"]
 
 _BLOCK_FLOATS = 1 << 15  # codes per matrix product: larger ones fault in fresh pages
 _FLOAT32_EXACT = 1 << 24  # integers up to here are exact in float32
-_FOLD_BYTES = 1 << 30  # working memory of one fold level
+_MEMORY_BYTES = 1 << 30  # working memory of one fold level or one kernel table
 _EXACT_ELEMENTS = 1 << 63  # int64 tallies count domains below this exactly
 
 Levels = list[list[WeylElement]]  # one element per level, multiplied left to right
 
 
-def _stacked(system: RootSystem, levels: Levels, columns: np.ndarray):
+def _check_memory(what: str, *factors: int) -> None:
+    """BudgetExceeded when what takes more than _MEMORY_BYTES: prod(factors) bytes."""
+    if prod(factors) > _MEMORY_BYTES:
+        raise BudgetExceeded(
+            f"{what} takes {' x '.join(map(str, factors))} bytes,"
+            f" past its cap of {_MEMORY_BYTES:,} bytes"
+        )
+
+
+def _stacked(levels: Levels, columns: np.ndarray):
     """All products of one representative per level, earlier levels slowest,
     as stacked (tgt, neg, parity) arrays with one row per product, restricted
     to the given root columns.  Built right to left, one gather per level:
@@ -205,11 +212,7 @@ class _Fold(_Parts):
         for j in range(len(chain) - 1, 0, -1):
             (lo, hi), have, keep = ends[j:j + 2], cols[j + 1], cols[j]
             rowbytes = len(keep) * states.itemsize + 32 * k  # image, tally, its codes
-            if len(states) * (hi - lo) * rowbytes > _FOLD_BYTES:
-                raise BudgetExceeded(
-                    f"folding {system.ctype} takes {len(states)} states x {hi - lo} elements"
-                    f" x {rowbytes} bytes at one level, past its cap of {_FOLD_BYTES:,} bytes"
-                )
+            _check_memory(f"folding {system.ctype} at one level", len(states), hi - lo, rowbytes)
             shift = states.astype(np.int64) @ neg[lo:hi, have].T + odd[lo:hi]
             at = np.searchsorted(have, src[lo:hi, keep])
             images = (states[:, at] * sign[lo:hi, keep]).reshape(len(states) * (hi - lo), -1)
@@ -261,11 +264,14 @@ class _Split(_Parts):
         chain = levels or transversal_chain(system)
         parts, rest = chain[0], chain[1:]
         sizes = [len(level) for level in rest]
-        cut = min(
-            range(len(rest) + 1), key=lambda c: max(prod(sizes[:c]), prod(sizes[c:]))
-        )
+        cut = min(range(len(rest) + 1), key=lambda c: max(prod(sizes[:c]), prod(sizes[c:])))
         n = system.size
-        ptgt, pneg, pparity = _stacked(system, rest[:cut], np.arange(n))
+        # a table stacks int16 targets and uint8 signs, then the prefix takes
+        # an intp copy of the roots it reads and the suffix sorts its rows:
+        # builds peak at 7 to 12 bytes a row and root, of n + 2 at most
+        for name, rows in ("prefix", prod(sizes[:cut])), ("suffix", prod(sizes[cut:])):
+            _check_memory(f"the kernel's {name} table on {system.ctype}", rows, n + 2, 12)
+        ptgt, pneg, pparity = _stacked(rest[:cut], np.arange(n))
         qneg = np.bitwise_or.reduce([q.neg for q in parts])
         read = np.flatnonzero((pneg | qneg[ptgt]).any(axis=0))
         # int16 indices would be widened on every part
@@ -276,7 +282,7 @@ class _Split(_Parts):
         width = len(read) + 2
         column = np.full(n, width - 2)
         column[read] = np.arange(len(read))
-        tgt, flags, sparity = _stacked(system, rest[cut:], cols)
+        tgt, flags, sparity = _stacked(rest[cut:], cols)
         c = weights[cols]
         table = np.zeros((len(sparity), width), dtype=np.min_scalar_type(-2 * k))
         fill = max(1, _BLOCK_FLOATS // width)
@@ -418,19 +424,6 @@ def _blas_threads():
     return None
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Pin numpy's bundled OpenBLAS to one thread for the block, then give
-    it back its previous thread count; a no-op when it has none."""
-    get, put = _blas_threads() or (lambda: None, lambda n: None)
-    previous = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(previous)
-
-
 def _check_writable(path: str) -> None:
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder) or not os.access(folder, os.W_OK):
@@ -448,7 +441,6 @@ def run_partitioned(
     checkpoint_path: str | None = None,
     resume: bool = False,
     parts: list[int] | None = None,
-    budget: int = DEFAULT_BUDGET,
     allow_large: bool = False,
     unsigned: bool = False,
     progress: bool = False,
@@ -464,9 +456,14 @@ def run_partitioned(
     which holds signed full-group runs only.  The engine (_Fold for one
     variable, _Split for several) is built only when some part is still to do.
 
-    workers > 1 computes the parts on that many threads of this process;
-    merging stays in the calling thread.  A part that raises is tried
-    _TRIES times in all, then the run ends in WorkerFailure.
+    A run is admitted on its domain's size (|W|, or the product of the
+    window level lengths of gf._domain_shape, known before any window is
+    built): the element budget first, unless allow_large, then 2^63.
+
+    workers > 1 computes the kernel's parts on that many threads of this
+    process; a folded part costs less than a thread handoff, so a folded
+    series runs in the calling thread.  A part that raises is tried _TRIES
+    times in all, then the run ends in WorkerFailure.
 
     Each landed tally (and its w0 mirror) is added into one running int64
     array, which becomes a polynomial only when the checkpoint is written:
@@ -477,21 +474,22 @@ def run_partitioned(
     """
     start = time.perf_counter()
     resolved = resolve_profile(profile, ctype)
+    shape = _domain_shape(restriction, ctype)
+    size = group_order(ctype) if shape is None else prod(shape)
     if not allow_large:
-        check_budget(ctype, budget)
-    windows = _domain_levels(restriction, ctype)
-    size = group_order(ctype) if windows is None else prod(map(len, windows))
+        check_budget(ctype, restriction, size)
     if size >= _EXACT_ELEMENTS:
         raise BudgetExceeded(
             f"{ctype}: a domain of about 10^{len(str(size)) - 1} elements is past 2^63,"
             " the most that int64 tallies count exactly"
         )
-    if checkpoint_path and (windows is not None or unsigned):
+    if checkpoint_path and (shape is not None or unsigned):
         kind = "unsigned counts" if unsigned else f"the {restriction} restriction"
         raise UnsupportedProfile(f"a checkpoint records signed full-group runs, not {kind}")
     system = root_system(ctype)
-    domain = None if windows is None else [
-        [window_to_element(system, w) for w in level] for level in windows
+    domain = None if shape is None else [
+        [window_to_element(system, w) for w in level]
+        for level in _domain_levels(restriction, ctype)
     ]
     levels = domain or transversal_chain(system)
     n_parts = len(levels[0])
@@ -561,13 +559,16 @@ def run_partitioned(
 
         try:
             with contextlib.ExitStack() as threads:
-                part_map = map  # one worker: in the caller, BLAS untouched
-                if workers > 1:
+                part_map = map  # in the caller, BLAS untouched
+                if workers > 1 and isinstance(split, _Split):
                     from concurrent.futures import ThreadPoolExecutor
 
                     # each thread is one core's worth of work; BLAS threads on
-                    # top of it would oversubscribe the machine
-                    threads.enter_context(_one_blas_thread())
+                    # top of it would oversubscribe the machine, so BLAS runs
+                    # on one thread until the run ends, however it ends
+                    get, put = _blas_threads() or (lambda: None, lambda n: None)
+                    threads.callback(put, get())
+                    put(1)
                     pool = ThreadPoolExecutor(workers)
                     threads.callback(pool.shutdown, cancel_futures=True)
                     part_map = pool.map
@@ -589,7 +590,7 @@ def run_partitioned(
         ctype,
         profile,
         restriction,
-        len(done_in_scope) * prod(map(len, levels)) // n_parts,
+        len(done_in_scope) * size // n_parts,
         time.perf_counter() - start,
         n_parts=n_parts,
         parts_done=tuple(done_in_scope),

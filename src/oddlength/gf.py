@@ -13,23 +13,19 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
-from math import prod
+from math import factorial, prod
 
 import numpy as np
 
 from .cartan import CartanType, RootSystem
-from .errors import (
-    NoPrediction,
-    OutOfStatedRange,
-    UnsupportedProfile,
-)
+from .errors import NoPrediction, OutOfStatedRange, UnsupportedProfile
 from . import stats
 from .poly import Poly, expand_product
 from .stats import StatisticId, COMPOSITE
 # not called here; bench/run.py patches them to count per-window work (tests/test_tooling.py)
 from .stats import atomic_stats, is_chessboard, is_good_chessboard, is_unimodal  # noqa: F401
-from .weyl import DEFAULT_BUDGET
 
 __all__ = [
     "ResolvedProfile",
@@ -157,10 +153,10 @@ class GFResult:
 # ---------------------------------------------------------------------------
 # restricted domains as levels of windows
 
-def _domain_levels(restriction: str, ctype: CartanType) -> list[list[tuple[int, ...]]] | None:
-    """Windows of a restricted domain in levels: every element of the domain
-    is the product of one window per level, taken left to right, exactly
-    once.  None for the full group."""
+def _domain_shape(restriction: str, ctype: CartanType) -> list[int] | None:
+    """Lengths of the levels of _domain_levels, found without building a
+    window, so that a run checks its domain's size first.  None for the
+    full group."""
     if restriction not in RESTRICTIONS:
         raise UnsupportedProfile(f"unknown restriction {restriction!r}")
     if ctype.family not in RESTRICTIONS[restriction]:
@@ -168,6 +164,21 @@ def _domain_levels(restriction: str, ctype: CartanType) -> list[list[tuple[int, 
             f"restriction {restriction!r} is not defined on family {ctype.family}"
         )
     if restriction == "full":
+        return None
+    n = ctype.window_size
+    if restriction == "unimodal":
+        return [2 ** (n - 1)]
+    perms = [2 - n % 2, factorial((n + 1) // 2), factorial(n // 2)]
+    if ctype.family == "A":
+        return perms
+    return [2 ** (n - 1 if restriction == "chessboard" else n // 2)] + perms
+
+
+def _domain_levels(restriction: str, ctype: CartanType) -> list[list[tuple[int, ...]]] | None:
+    """Windows of a restricted domain in levels: every element of the domain
+    is the product of one window per level, taken left to right, exactly
+    once.  None for the full group."""
+    if _domain_shape(restriction, ctype) is None:
         return None
     n = ctype.window_size
     ident = tuple(range(1, n + 1))
@@ -205,14 +216,14 @@ def signed_gf(
     profile: str = "odd-length",
     restriction: str = "full",
     *,
-    budget: int = DEFAULT_BUDGET,
     unsigned: bool = False,
 ) -> GFResult:
     """Exact signed generating function by exhaustive enumeration: one
-    sequential engine.run_partitioned call."""
+    sequential engine.run_partitioned call, refused past the element budget
+    on the domain it enumerates."""
     from .engine import run_partitioned  # engine imports this module
 
-    return run_partitioned(ctype, profile, restriction, budget=budget, unsigned=unsigned)
+    return run_partitioned(ctype, profile, restriction, unsigned=unsigned)
 
 
 # ---------------------------------------------------------------------------
@@ -356,45 +367,42 @@ class VerifyReport:
         return f"{mark}  {self.name}{extra}{tail}"
 
 
-def verify_univariate(ctype: CartanType, printed_form: bool = False) -> VerifyReport:
+def _report(name: str, series: Callable[[], tuple[Poly, Poly]]) -> VerifyReport:
+    """Report on the identity name, timing series(): (computed, predicted)."""
     start = time.perf_counter()
+    got, want = series()
+    return VerifyReport(name, got == want, got, want, time.perf_counter() - start)
+
+
+def verify_univariate(ctype: CartanType, printed_form: bool = False) -> VerifyReport:
     _factor_table(ctype, printed_form)  # NoPrediction before any work
-    computed = signed_gf(ctype).poly  # the element budget before the expansion
-    predicted = predicted_gf(ctype, printed_form=printed_form)
     tag = f"odd-length {ctype}" + (" (printed C form)" if printed_form else "")
-    return VerifyReport(
-        tag, computed == predicted, computed, predicted, time.perf_counter() - start
-    )
+    # the element budget before the expansion
+    return _report(tag, lambda: (signed_gf(ctype).poly, predicted_gf(ctype, printed_form)))
 
 
 def verify_multivariate(identity_id: str, n: int) -> VerifyReport:
-    start = time.perf_counter()
     ctype = CartanType(_profile_entry(identity_id)[2], n)
-    computed = signed_gf(ctype, identity_id).poly
-    predicted = predicted_multivariate(identity_id, n)
-    return VerifyReport(
-        f"{identity_id} n={n}",
-        computed == predicted,
-        computed,
-        predicted,
-        time.perf_counter() - start,
-    )
+    return _report(f"{identity_id} n={n}", lambda: (
+        signed_gf(ctype, identity_id).poly, predicted_multivariate(identity_id, n)
+    ))
 
 
-def verify_restriction(
-    ctype: CartanType, profile: str, restriction: str
-) -> VerifyReport:
+def verify_restriction(ctype: CartanType, profile: str, restriction: str) -> VerifyReport:
     """Check that restricting the domain does not change the polynomial."""
-    start = time.perf_counter()
-    full = signed_gf(ctype, profile).poly
-    restricted = signed_gf(ctype, profile, restriction).poly
-    return VerifyReport(
-        f"{profile} {ctype} full = {restriction}",
-        full == restricted,
-        restricted,
-        full,
-        time.perf_counter() - start,
-    )
+    return _restriction_report(ctype, profile, restriction, None)
+
+
+def _restriction_report(
+    ctype: CartanType, profile: str, restriction: str, full: Poly | None
+) -> VerifyReport:
+    """verify_restriction against full, the whole group's series (computed
+    first when None)."""
+    def series() -> tuple[Poly, Poly]:
+        whole = signed_gf(ctype, profile).poly if full is None else full
+        return signed_gf(ctype, profile, restriction).poly, whole
+
+    return _report(f"{profile} {ctype} full = {restriction}", series)
 
 
 def verification_suite(
@@ -416,19 +424,17 @@ def verification_suite(
         lo, hi = _PROFILE_TABLE[identity_id][3:]
         return range(lo, min(top, hi or top) + 1)
 
+    # a restriction report reuses the full series its type's report computed
     if want("A"):
-        for n in range(2, max_n + 1):
-            reports.append(verify_univariate(CartanType("A", n - 1)))
-        for n in range(3, min(max_n, 8) + 1):
-            reports.append(
-                verify_restriction(CartanType("A", n - 1), "odd-length", "unimodal")
-            )
-            reports.append(
-                verify_restriction(CartanType("A", n - 1), "odd-length", "chessboard")
-            )
+        full = [verify_univariate(CartanType("A", n)) for n in range(1, max_n)]
+        reports += full
+        for n in range(2, min(max_n, 8)):
+            reports += [
+                _restriction_report(CartanType("A", n), "odd-length", r, full[n - 1].computed)
+                for r in ("unimodal", "chessboard")
+            ]
     if want("B"):
-        for n in range(1, max_n + 1):
-            reports.append(verify_univariate(CartanType("B", n)))
+        reports += [verify_univariate(CartanType("B", n)) for n in range(1, max_n + 1)]
         # the identities of one group share a stated range
         for group in (
             ("B-4var", "B-ooo", "B-eoo"),
@@ -438,21 +444,17 @@ def verification_suite(
             for n in stated(group[0]):
                 reports += [verify_multivariate(name, n) for name in group]
     if want("C"):
-        for n in range(2, max_n + 1):
-            reports.append(verify_univariate(CartanType("C", n)))
+        reports += [verify_univariate(CartanType("C", n)) for n in range(2, max_n + 1)]
         if include_printed_form:
-            for n in range(2, max_n + 1):
-                reports.append(
-                    verify_univariate(CartanType("C", n), printed_form=True)
-                )
+            reports += [verify_univariate(CartanType("C", n), True) for n in range(2, max_n + 1)]
     if want("D"):
-        for n in range(2, max_n + 1):
-            reports.append(verify_univariate(CartanType("D", n)))
+        reports += [verify_univariate(CartanType("D", n)) for n in range(2, max_n + 1)]
         for n in stated("D-bivar"):
-            reports += [verify_multivariate(name, n) for name in ("D-bivar", "D-oe")]
+            bivar = verify_multivariate("D-bivar", n)
+            reports += [bivar, verify_multivariate("D-oe", n)]
             reports += [
-                verify_restriction(CartanType("D", n), "D-bivar", restriction)
-                for restriction in ("chessboard", "good-chessboard")
+                _restriction_report(CartanType("D", n), "D-bivar", r, bivar.computed)
+                for r in ("chessboard", "good-chessboard")
             ]
     for family, rank in _EXCEPTIONAL_FACTORS:
         if want(family):

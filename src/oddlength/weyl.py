@@ -21,11 +21,7 @@ import numpy as np
 
 from .cartan import CartanType, RootSystem, group_order
 from .errors import (
-    BudgetExceeded,
-    IndexOutOfRange,
-    InvalidWindow,
-    SystemMismatch,
-    TypeMismatch,
+    BudgetExceeded, IndexOutOfRange, InvalidWindow, SystemMismatch, TypeMismatch,
 )
 from .stats import check_window
 
@@ -49,16 +45,17 @@ __all__ = [
 DEFAULT_BUDGET = 10**8
 
 
-def check_budget(ctype: CartanType, budget: int = DEFAULT_BUDGET) -> int:
-    """Order of the group of ctype; BudgetExceeded when it is past budget."""
-    order = group_order(ctype)
-    if order > budget:
-        size = order if order < 10**15 else f"about 10^{len(str(order)) - 1}"
+def check_budget(ctype: CartanType, restriction: str = "full", size: int | None = None) -> None:
+    """BudgetExceeded when the domain a run enumerates, of size elements (the
+    order of the group of ctype by default), is past DEFAULT_BUDGET."""
+    size = group_order(ctype) if size is None else size
+    if size > DEFAULT_BUDGET:
+        domain = ctype if restriction == "full" else f"the {restriction} domain of {ctype}"
+        count = size if size < 10**15 else f"about 10^{len(str(size)) - 1}"
         raise BudgetExceeded(
-            f"{ctype} has {size} elements, past the element budget {budget};"
+            f"{domain} has {count} elements, past the element budget {DEFAULT_BUDGET};"
             " opt in with gf --allow-large (allow_large=True in run_partitioned)"
         )
-    return order
 
 
 class WeylElement:
@@ -224,15 +221,13 @@ def transversal_chain(system: RootSystem) -> list[list[WeylElement]]:
     return system._chain
 
 
-def enumerate_group(
-    system: RootSystem, budget: int = DEFAULT_BUDGET
-) -> Iterator[WeylElement]:
+def enumerate_group(system: RootSystem) -> Iterator[WeylElement]:
     """Yield every group element exactly once, in a fixed order.
 
-    Raises BudgetExceeded up front when the group is larger than budget; the
-    partitioned engine handles those sizes.
+    Raises BudgetExceeded up front when the group is past the element
+    budget; the partitioned engine handles those sizes.
     """
-    check_budget(system.ctype, budget)
+    check_budget(system.ctype)
     chain = transversal_chain(system)
 
     def descend(level: int, prefix: WeylElement) -> Iterator[WeylElement]:

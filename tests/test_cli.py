@@ -10,12 +10,13 @@ from oddlength import cli, engine, errors
 from oddlength.cartan import CartanType, root_system
 from oddlength.cli import main
 from oddlength.engine import run_partitioned
-from oddlength.gf import _domain_levels, signed_gf
+from oddlength.gf import _domain_levels, resolve_profile, root_weights, signed_gf
 from oddlength.poly import Poly
 from oddlength.weyl import enumerate_group, window_to_element
 
 A2_GOLDEN = '{"vars":["x"],"terms":[{"e":[0],"c":1},{"e":[2],"c":-1}]}'
 F4 = CartanType.parse("F4")
+B8 = CartanType.parse("B8")
 
 
 def run(capsys, *argv):
@@ -189,6 +190,36 @@ def test_one_budget_message_names_the_opt_in(capsys, call):
     )
 
 
+def test_gf_restricted_domain_past_the_budget_exits_3_at_once(capsys):
+    # counted from the window level lengths, before any window is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gf", "--type", "D12", "--restrict", "chessboard")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err == (
+        "error: the chessboard domain of D12 has 2123366400 elements, past the element"
+        " budget 100000000; opt in with gf --allow-large (allow_large=True in run_partitioned)\n"
+    )
+
+
+def test_gf_restriction_undefined_on_the_type_before_the_budget(capsys):
+    # E8 is past the budget, but a unimodal domain is defined on type A only
+    code, out, err = run(capsys, "gf", "--type", "E8", "--restrict", "unimodal")
+    assert code == 2 and out == ""
+    assert "not defined on family E" in err and err.count("\n") == 1
+
+
+def test_gf_kernel_past_its_memory_cap_exits_3_before_stacking(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("stacked a kernel table")
+
+    monkeypatch.setattr(engine, "_stacked", refuse)
+    code, out, err = run(capsys, "gf", "--type", "D13", "--profile", "D-bivar",
+                         "--allow-large", "--parts", "0")
+    assert code == 3 and out == ""
+    assert err.startswith("error: the kernel's prefix table on D13") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("name", ["B300", "C240"])
 def test_verify_past_the_budget_stops_before_expanding(capsys, name):
     start = time.perf_counter()
@@ -284,33 +315,41 @@ def test_gf_resume_ignores_a_stale_tmp_file(capsys, tmp_path):
     assert out == run(capsys, "gf", "--type", "F4", "--json")[1]
 
 
+def _b8_kernel():
+    """B8 B-4var on the kernel, the engine that runs parts on threads, with
+    its variable bases: 16 parts in 8 mirror jobs."""
+    system = root_system(B8)
+    weights, dims = root_weights(resolve_profile("B-4var", B8), system)
+    return engine._Split.build(system, weights), dims
+
+
 def test_gf_worker_failure_keeps_merged_parts(capsys, monkeypatch, tmp_path):
-    split = engine._Fold.build(root_system(F4))
-    tallies = [split.part_coeffs(i) for i in range(24)]
-    bad = split.pairs(range(24))[-1][0]
-    real = engine._Fold.part_coeffs
+    split, dims = _b8_kernel()
+    tallies = [split.part_coeffs(i) for i in range(16)]
+    bad = split.pairs(range(16))[-1][0]
+    real = engine._Split.part_coeffs
 
     def flaky(self, part_index, unsigned=False):
         if part_index == bad:
             raise RuntimeError("injected")
         return real(self, part_index, unsigned)
 
-    monkeypatch.setattr(engine._Fold, "part_coeffs", flaky)
-    ck = str(tmp_path / "f4.ckpt")
-    code, out, err = run(capsys, "gf", "--type", "F4", "--threads", "2",
-                         "--checkpoint", ck, "--json")
+    monkeypatch.setattr(engine._Split, "part_coeffs", flaky)
+    ck = str(tmp_path / "b8.ckpt")
+    argv = ("gf", "--type", "B8", "--profile", "B-4var", "--json")
+    code, out, err = run(capsys, *argv, "--threads", "2", "--checkpoint", ck)
     assert code == 3 and out == ""
     assert "failed repeatedly" in err
-    saved = engine.Checkpoint.read(ck, F4, "odd-length", 24)
+    saved = engine.Checkpoint.read(ck, B8, "B-4var", 16)
     # every other job lands before the third failure of the bad part
-    assert saved.done == set(range(24)) - {bad, split.mirror[bad]}
-    assert saved.partial == engine._coeffs_to_poly(sum(tallies[i] for i in saved.done))
+    assert saved.done == set(range(16)) - {bad, split.mirror[bad]}
+    expect = sum(tallies[i] for i in saved.done)
+    assert saved.partial == engine._coeffs_to_poly(expect, dims, saved.partial.vars)
 
     monkeypatch.undo()
-    code, out, _ = run(capsys, "gf", "--type", "F4", "--checkpoint", ck,
-                       "--resume", "--json")
+    code, out, _ = run(capsys, *argv, "--checkpoint", ck, "--resume")
     assert code == 0
-    assert out == run(capsys, "gf", "--type", "F4", "--json")[1]
+    assert out == run(capsys, *argv)[1]
 
 
 def _progress_counts(err: str) -> list[str]:
@@ -319,13 +358,13 @@ def _progress_counts(err: str) -> list[str]:
 
 
 def test_gf_progress_one_line_per_merged_job(capsys):
-    code, out, err = run(capsys, "gf", "--type", "F4", "--threads", "2",
-                         "--progress", "--json")
+    argv = ("gf", "--type", "B8", "--profile", "B-4var", "--json")
+    code, out, err = run(capsys, *argv, "--threads", "2", "--progress")
     assert code == 0
-    assert out == run(capsys, "gf", "--type", "F4", "--json")[1]
+    assert out == run(capsys, *argv)[1]
     counts = _progress_counts(err)
-    assert len(counts) == len(engine._Fold.build(root_system(F4)).pairs(range(24)))
-    assert counts[-1] == "24/24"
+    assert len(counts) == len(_b8_kernel()[0].pairs(range(16)))
+    assert counts[-1] == "16/16"
 
 
 def test_gf_progress_counts_only_wanted_parts(capsys, tmp_path):

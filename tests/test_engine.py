@@ -20,7 +20,9 @@ from oddlength.errors import (
     WeightsTooLarge,
     WorkerFailure,
 )
-from oddlength.gf import RESTRICTIONS, _domain_levels, resolve_profile, root_weights, signed_gf
+from oddlength.gf import (
+    RESTRICTIONS, _domain_levels, _domain_shape, resolve_profile, root_weights, signed_gf,
+)
 from oddlength.poly import Poly
 from oddlength.weyl import (
     _sift,
@@ -36,6 +38,13 @@ F4 = CartanType.parse("F4")
 E6 = CartanType.parse("E6")
 E7 = CartanType.parse("E7")
 E8 = CartanType.parse("E8")
+B8 = CartanType.parse("B8")
+
+
+def _b8_kernel():
+    """B8 B-4var on the kernel: 16 parts in 8 mirror jobs."""
+    system = root_system(B8)
+    return engine._Split.build(system, root_weights(resolve_profile("B-4var", B8), system)[0])
 
 
 def test_partitioned_equals_direct():
@@ -444,6 +453,35 @@ def test_runs_route_by_variable_count(monkeypatch, name, profile, restriction, u
     assert run_partitioned(ct, profile, restriction, unsigned=unsigned).poly == expect
 
 
+@pytest.mark.parametrize("name, restriction", [
+    ("A6", "unimodal"), ("A7", "chessboard"), ("D6", "chessboard"), ("D7", "good-chessboard"),
+])
+def test_domain_shape_counts_the_window_levels(name, restriction):
+    ct = CartanType.parse(name)
+    assert _domain_shape(restriction, ct) == list(map(len, _domain_levels(restriction, ct)))
+
+
+@pytest.mark.parametrize("name, profile, restriction", [
+    ("A11", "odd-length", "unimodal"),  # 2,048 of A11's 479,001,600 elements
+    ("D10", "D-bivar", "chessboard"),  # 14,745,600 of 1,857,945,600
+])
+def test_budget_counts_the_domain_a_run_enumerates(name, profile, restriction):
+    ct = CartanType.parse(name)
+    with pytest.raises(BudgetExceeded):
+        run_partitioned(ct, profile)
+    plain = run_partitioned(ct, profile, restriction).poly.dumps()
+    assert plain == run_partitioned(ct, profile, restriction, allow_large=True).poly.dumps()
+
+
+def test_restricted_domain_past_the_budget_refused_before_any_window(monkeypatch):
+    def no_windows(*args):
+        raise AssertionError("windows built for a domain past the budget")
+
+    monkeypatch.setattr(engine, "_domain_levels", no_windows)
+    with pytest.raises(BudgetExceeded, match="chessboard domain of D12 has 2123366400 elements"):
+        run_partitioned(CartanType.parse("D12"), restriction="chessboard")
+
+
 def test_domain_past_int64_refused_before_any_build(monkeypatch):
     def no_system(ctype):
         raise AssertionError("root system built for a domain int64 cannot count")
@@ -454,9 +492,31 @@ def test_domain_past_int64_refused_before_any_build(monkeypatch):
 
 
 def test_fold_refuses_a_level_past_its_memory_cap(monkeypatch):
-    monkeypatch.setattr(engine, "_FOLD_BYTES", 1 << 12)
+    monkeypatch.setattr(engine, "_MEMORY_BYTES", 1 << 12)
     with pytest.raises(BudgetExceeded, match="at one level"):
         run_partitioned(CartanType.parse("B6"))
+
+
+def _no_stacking(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("stacked a kernel table")
+
+    monkeypatch.setattr(engine, "_stacked", refuse)
+
+
+def test_kernel_refuses_a_table_past_its_memory_cap(monkeypatch):
+    # D13 D-bivar would stack 3,041,280 prefix rows over 156 roots
+    _no_stacking(monkeypatch)
+    d13 = CartanType.parse("D13")
+    with pytest.raises(BudgetExceeded, match="kernel's prefix table on D13 takes 3041280 x 158"):
+        run_partitioned(d13, "D-bivar", allow_large=True, parts=[0])
+
+
+def test_kernel_stacks_a_table_under_its_memory_cap(monkeypatch):
+    # D12 D-bivar's prefix table, 126,720 rows over 132 roots, is under the cap
+    _no_stacking(monkeypatch)
+    with pytest.raises(AssertionError, match="stacked a kernel table"):
+        run_partitioned(CartanType.parse("D12"), "D-bivar", allow_large=True, parts=[0])
 
 
 def _brute_force(ct, unsigned):
@@ -501,8 +561,10 @@ def test_failing_part_is_retried_then_fails(monkeypatch, workers):
 
 
 def test_failing_part_cancels_the_parts_still_pending(monkeypatch):
+    jobs = len(_b8_kernel().pairs(range(16)))
+    assert jobs == 8
     calls = []
-    real = engine._Fold.part_coeffs
+    real = engine._Split.part_coeffs
 
     def flaky(self, part_index, unsigned=False):
         calls.append(part_index)
@@ -510,13 +572,13 @@ def test_failing_part_cancels_the_parts_still_pending(monkeypatch):
             raise RuntimeError("injected")
         return real(self, part_index, unsigned)
 
-    monkeypatch.setattr(engine._Fold, "part_coeffs", flaky)
+    monkeypatch.setattr(engine._Split, "part_coeffs", flaky)
     with pytest.raises(WorkerFailure):
-        run_partitioned(E8, workers=2, allow_large=True)
+        run_partitioned(B8, "B-4var", workers=2)
     # three tries of part 0 and the few parts the other thread had started,
-    # not the 120 jobs of a whole run
+    # fewer calls than the jobs of a whole run
     assert calls.count(0) == 3
-    assert len(calls) < 20
+    assert len(calls) < jobs
 
 
 @pytest.mark.parametrize("name, profile", [("E6", "odd-length"), ("B5", "B-4var")])
@@ -540,7 +602,7 @@ def test_blas_thread_count_is_restored(monkeypatch, fails):
         pytest.skip("numpy has no bundled OpenBLAS thread setter")
     get, put = blas
     seen = []
-    real = engine._Fold.part_coeffs
+    real = engine._Split.part_coeffs
 
     def watched(self, part_index, unsigned=False):
         seen.append(get())
@@ -548,37 +610,60 @@ def test_blas_thread_count_is_restored(monkeypatch, fails):
             raise RuntimeError("injected")
         return real(self, part_index, unsigned)
 
-    monkeypatch.setattr(engine._Fold, "part_coeffs", watched)
+    monkeypatch.setattr(engine._Split, "part_coeffs", watched)
     before = get()
     put(2)  # a count the run must change and give back, also on one core
     try:
         if fails:
             with pytest.raises(WorkerFailure):
-                run_partitioned(F4, workers=2)
+                run_partitioned(B8, "B-4var", workers=2)
         else:
-            run_partitioned(F4, workers=2)
+            run_partitioned(B8, "B-4var", workers=2)
         assert get() == 2
     finally:
         put(before)
     assert seen and set(seen) == {1}
 
 
-def test_threads_started_at_most_one_per_job(monkeypatch):
-    jobs = len(engine._Fold.build(root_system(F4)).pairs(range(24)))
-    assert jobs == 12
-    alive = []
+def test_folded_run_starts_no_thread_and_leaves_blas(monkeypatch):
+    blas = engine._blas_threads()
+    get, put = blas or (lambda: None, lambda n: None)
+    seen = []
     real = engine._Fold.part_coeffs
+
+    def watched(self, part_index, unsigned=False):
+        seen.append((threading.current_thread(), threading.active_count(), get()))
+        return real(self, part_index, unsigned)
+
+    monkeypatch.setattr(engine._Fold, "part_coeffs", watched)
+    before = get()
+    put(2)
+    try:
+        baseline = threading.active_count()
+        res = run_partitioned(F4, workers=4)
+        assert get() == (2 if blas else None)
+    finally:
+        put(before)
+    assert seen and set(seen) == {(threading.current_thread(), baseline, 2 if blas else None)}
+    assert res.poly.dumps() == run_partitioned(F4).poly.dumps()
+
+
+def test_threads_started_at_most_one_per_job(monkeypatch):
+    jobs = len(_b8_kernel().pairs(range(16)))
+    assert jobs == 8
+    alive = []
+    real = engine._Split.part_coeffs
 
     def counted(self, part_index, unsigned=False):
         alive.append(threading.active_count())
         return real(self, part_index, unsigned)
 
-    monkeypatch.setattr(engine._Fold, "part_coeffs", counted)
+    monkeypatch.setattr(engine._Split, "part_coeffs", counted)
     baseline = threading.active_count()
-    res = run_partitioned(F4, workers=64)
+    res = run_partitioned(B8, "B-4var", workers=64)
     assert max(alive) - baseline <= jobs
     assert threading.active_count() == baseline
-    assert res.poly.dumps() == run_partitioned(F4).poly.dumps()
+    assert res.poly.dumps() == run_partitioned(B8, "B-4var").poly.dumps()
 
 
 def test_large_group_needs_opt_in():

@@ -108,8 +108,9 @@ def test_signed_gf_vanishes_at_one():
 
 
 def test_budget_guard():
-    with pytest.raises(BudgetExceeded):
-        signed_gf(CartanType.parse("B8"), budget=1000)
+    # B9 has 185,794,560 elements, past the element budget of 10^8
+    with pytest.raises(BudgetExceeded, match="B9 has 185794560 elements"):
+        signed_gf(CartanType.parse("B9"))
 
 
 # predictions

@@ -6,6 +6,7 @@ trimmed export would otherwise show up only when the benchmark runs.
 """
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -42,6 +43,18 @@ def test_bench_names_resolve(module, path):
     obj = importlib.import_module(module)
     for part in path.split("."):
         obj = getattr(obj, part)  # AttributeError names what went missing
+
+
+# keywords bench/run.py passes to run_partitioned; signed_gf takes
+# (ctype, profile) positionally
+BENCH_KEYWORDS = ("workers", "checkpoint_path", "resume", "allow_large", "parts")
+
+
+def test_bench_calls_bind():
+    inspect.signature(oddlength.run_partitioned).bind(
+        "ctype", **{name: None for name in BENCH_KEYWORDS}
+    )  # TypeError names a dropped keyword
+    inspect.signature(oddlength.signed_gf).bind("ctype", "profile")
 
 
 def test_package_exports_exist():
