@@ -31,13 +31,14 @@ With the levels after the first cut into prefix and suffix blocks,
                   c_a (flag_s(a) XOR negbit_{q p}(target_s(a)))
 
 for a part q, so one float32 matrix product of the prefix sign bits (with 1
-and the parity of q p) against the suffixes (+-c_a, c_a flag_s(a) +
-K parity_s and K) gives code + K (parity_qp + parity_s), whose block below
-3K gives the sign, for a whole part, and a bincount tallies it.  Suffixes
-are kept as their distinct rows over the roots some q p reads, weighted by
-count.  All entries and partial sums are integers below 2^24.  Under the
-memory cap a part has fewer than 2^53 elements (prefix rows x suffixes),
-so the float64 bincount sums over it are exact too.
+and the parity of q p) against the suffixes (+-c_a, c_a flag_s(a) and K)
+gives code + K parity_qp, below 2K, for a whole part, and a bincount tallies
+it.  A suffix row over the roots some q p reads is kept once, weighted by its
+suffixes and by its even ones minus its odd ones: suffixes that differ only
+in parity cancel, and a row of signed weight 0 leaves a signed product.  All
+entries and partial sums are integers below 2^24; under the memory cap a part
+has fewer than 2^53 elements (prefix rows x suffixes), so the float64
+bincount sums over it are exact too.
 
 The longest element w0 halves the work: it negates every positive root, so
 code(w0 w) = K - 1 - code(w) and length(w0 w) = N - length(w), and left
@@ -241,8 +242,8 @@ class _Split(_Parts):
     pneg: np.ndarray
     pparity: np.ndarray
     states: np.ndarray                # distinct suffix rows x (read roots + 2), float32
-    counts: np.ndarray                # suffixes per state, float64, once per prefix row
-    block: int                        # prefix rows per product
+    signed: np.ndarray                # per state: its even suffixes minus its odd ones
+    unsigned: np.ndarray              # per state: its suffixes
 
     @classmethod
     def build(
@@ -255,7 +256,7 @@ class _Split(_Parts):
         cols = np.flatnonzero(weights)
         k = int(weights.sum()) + 1
         # a state holds the +-c_a (absolute sum K - 1), the constant (below
-        # 2K) and K against 0/1 prefix entries, so partial sums stay below 4K
+        # K) and K against 0/1 prefix entries, so partial sums stay below 3K
         if 4 * k > _FLOAT32_EXACT:
             raise WeightsTooLarge(
                 f"root weights summing to {k - 1} give codes past float32's"
@@ -290,31 +291,35 @@ class _Split(_Parts):
             rows = table[lo:lo + fill]
             f = flags[lo:lo + fill]
             rows[np.arange(len(rows))[:, None], column[tgt[lo:lo + fill]]] = np.where(f, -c, c)
-            rows[:, -2] = f @ c + k * sparity[lo:lo + fill].astype(np.int64)
+            rows[:, -2] = f @ c
         table[:, -1] = k
         first, inverse = _distinct_rows(table)
+        unsigned = np.bincount(inverse)
+        signed = unsigned - 2 * np.bincount(inverse[sparity == 1], minlength=len(first))
         states = table[first].astype(np.float32)
-        block = max(64, _BLOCK_FLOATS // len(states))  # narrower products cost more
-        counts = np.tile(np.bincount(inverse).astype(np.float64), block)  # a whole block's weights
         mirror = cls.mirrors(system, chain, levels is not None)
-        return cls(system, parts, mirror, k, ptgt, pneg, pparity, states, counts, block)
+        return cls(system, parts, mirror, k, ptgt, pneg, pparity, states, signed, unsigned)
 
     def part_coeffs(self, part_index: int, unsigned: bool = False) -> np.ndarray:
         """Signed tally of codes over one part, as an int64 vector."""
-        q = self.parts[part_index]
-        r = self.ptgt.shape[1]
-        rows = np.empty((len(self.pparity), r + 2), dtype=np.float32)
-        rows[:, :r] = q.neg[self.ptgt] ^ self.pneg
-        rows[:, r] = 1
-        rows[:, r + 1] = (self.pparity + q.parity) & 1
-        tally = np.zeros(3 * self.k, dtype=np.int64)
-        for lo in range(0, len(rows), self.block):
-            codes = (rows[lo:lo + self.block] @ self.states.T).astype(np.intp)
-            weights = self.counts[:codes.size]
-            tally += np.bincount(codes.ravel(), weights, len(tally)).astype(np.int64)
-        # blocks by parity_qp + parity_s = 0, 1, 2; the middle one is negative
-        b0, b1, b2 = tally.reshape(3, self.k)
-        return b0 + b1 + b2 if unsigned else b0 - b1 + b2
+        weights = self.unsigned if unsigned else self.signed
+        live = np.flatnonzero(weights)
+        if not len(live):  # every suffix cancels against one of the other parity
+            return np.zeros(self.k, dtype=np.int64)
+        q, states = self.parts[part_index], self.states[live].T
+        rows = np.empty((len(self.pparity), self.ptgt.shape[1] + 2), dtype=np.float32)
+        rows[:, :-2] = q.neg[self.ptgt] ^ self.pneg
+        rows[:, -2] = 1
+        rows[:, -1] = (self.pparity + q.parity) & 1
+        # narrower products cost more; sized by every row, signed ones stay small
+        block = min(len(rows), max(64, _BLOCK_FLOATS // len(self.states)))
+        tiled = np.tile(weights[live].astype(np.float64), block)
+        tally = np.zeros(2 * self.k, dtype=np.int64)
+        for lo in range(0, len(rows), block):
+            codes = (rows[lo:lo + block] @ states).astype(np.intp)
+            tally += np.bincount(codes.ravel(), tiled[:codes.size], len(tally)).astype(np.int64)
+        even, odd = tally.reshape(2, self.k)  # by parity_qp; parity_s is in the weights
+        return even + odd if unsigned else even - odd
 
 
 def _coeffs_to_poly(

@@ -64,6 +64,12 @@ def test_workers_byte_identical():
     seq = run_partitioned(E6, workers=1).poly.dumps()
     par = run_partitioned(E6, workers=4).poly.dumps()
     assert seq == par
+    # a kernel profile, whose parts run on the threads
+    d5 = CartanType.parse("D5")
+    for unsigned in (False, True):
+        seq = run_partitioned(d5, "D-bivar", unsigned=unsigned, workers=1).poly.dumps()
+        par = run_partitioned(d5, "D-bivar", unsigned=unsigned, workers=4).poly.dumps()
+        assert seq == par, unsigned
 
 
 def test_disjoint_part_sums_merge():
@@ -373,17 +379,70 @@ def _domain(name, profile="odd-length", restriction="full"):
 def test_states_count_every_suffix_once(domain):
     system, weights, levels, size = _domain(*domain)
     split = engine._Split.build(system, weights, levels)
-    counts = split.counts[:len(split.states)]
-    assert counts.min() >= 1
+    assert split.unsigned.min() >= 1
     assert len(np.unique(split.states, axis=0)) == len(split.states)
     # parts x prefix rows x suffixes is the whole domain
-    assert counts.sum() * len(split.pparity) * len(split.parts) == size
+    assert split.unsigned.sum() * len(split.pparity) * len(split.parts) == size
 
 
 def test_e8_states_are_fewer_than_its_suffixes():
     split = engine._Split.build(root_system(E8))
-    assert split.counts[:len(split.states)].sum() == 1920
+    assert split.unsigned.sum() == 1920
     assert len(split.states) < 1920
+
+
+@pytest.mark.parametrize("domain", [
+    ("F4",), ("E6",), ("B5", "B-4var"), ("D5", "D-bivar"), ("D2", "D-oe"),
+    ("A5", "odd-length", "unimodal"),
+], ids=" ".join)
+def test_state_weights_count_suffixes_by_parity(domain):
+    # every suffix product, stacked apart from the build: its row over the
+    # roots the prefix rows read, its constant and K, then its parity
+    system, weights, levels, _ = _domain(*domain)
+    split = engine._Split.build(system, weights, levels)
+    chain = levels or transversal_chain(system)
+    sizes = [len(level) for level in chain[1:]]
+    cut = min(range(len(sizes) + 1), key=lambda c: max(prod(sizes[:c]), prod(sizes[c:])))
+    assert prod(sizes[:cut]) == len(split.pparity)
+    ptgt, pneg, _ = engine._stacked(chain[1:cut + 1], np.arange(system.size))
+    qneg = np.bitwise_or.reduce([q.neg for q in chain[0]])
+    read = np.flatnonzero((pneg | qneg[ptgt]).any(axis=0))
+    cols = np.flatnonzero(weights)
+    tgt, flags, parity = engine._stacked(chain[cut + 1:], cols)
+    c = weights[cols]
+    dense = np.zeros((len(parity), system.size), dtype=np.int64)
+    dense[np.arange(len(parity))[:, None], tgt] = np.where(flags, -c, c)
+    expect = {}
+    for row, const, odd in zip(dense[:, read], flags @ c, parity):
+        even_odd = expect.setdefault((*row.tolist(), int(const), split.k), [0, 0])
+        even_odd[odd] += 1
+    got = {
+        tuple(int(v) for v in row): [int(w), int(u)]
+        for row, w, u in zip(split.states, split.signed, split.unsigned)
+    }
+    assert got == {key: [even - odd, even + odd] for key, (even, odd) in expect.items()}
+
+
+@pytest.mark.parametrize("name, profile, most", [("B8", "B-4var", 64), ("D10", "D-bivar", 256)])
+def test_signed_states_cancel_by_parity(name, profile, most):
+    # B8 keeps 64 of its 160 states for signed runs, D10 256 of its 1,984
+    ct = CartanType.parse(name)
+    system = root_system(ct)
+    split = engine._Split.build(system, root_weights(resolve_profile(profile, ct), system)[0])
+    assert np.count_nonzero(split.signed) <= most < len(split.states)
+
+
+def test_kernel_with_no_live_signed_state():
+    # on D2 every D-oe suffix cancels against one of the other parity
+    system, weights, _, _ = _domain("D2", "D-oe")
+    split = engine._Split.build(system, weights)
+    assert not split.signed.any()
+    # such a part is the zero tally, read from no prefix row and no product
+    split.ptgt = split.pneg = None
+    assert split.part_coeffs(0).tolist() == [0] * split.k
+    d2 = CartanType.parse("D2")
+    assert run_partitioned(d2, "D-oe").poly == Poly.zero(("x", "y"))
+    assert run_partitioned(d2, "D-oe", unsigned=True).poly.eval_int((1, 1)) == 4
 
 
 _ONE_VARIABLE = ("odd-length", "uni-ooe", "uni-eoe", "uni-eoo")
@@ -544,6 +603,20 @@ def test_subset_with_one_pair_member():
         expect = engine._coeffs_to_poly(sum(split.part_coeffs(j) for j in subset))
         assert run_partitioned(E6, parts=subset).poly == expect
         assert run_partitioned(E6, parts=subset, workers=2).poly == expect
+    # the same on a kernel profile, whose parts run on the threads
+    d5 = CartanType.parse("D5")
+    resolved = resolve_profile("D-bivar", d5)
+    system = root_system(d5)
+    weights, dims = root_weights(resolved, system)
+    split = engine._Split.build(system, weights)
+    i = next(i for i, m in enumerate(split.mirror) if m != i)
+    fixed = next(i for i, m in enumerate(split.mirror) if m == i)
+    for subset in ([i], [split.mirror[i]], [i, fixed], [i, split.mirror[i], fixed]):
+        for unsigned in (False, True):
+            tally = sum(split.part_coeffs(j, unsigned) for j in subset)
+            expect = engine._coeffs_to_poly(tally, dims, resolved.vars)
+            run = run_partitioned(d5, "D-bivar", parts=subset, unsigned=unsigned, workers=2)
+            assert run.poly == expect, (subset, unsigned)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -558,6 +631,15 @@ def test_failing_part_is_retried_then_fails(monkeypatch, workers):
     with pytest.raises(WorkerFailure, match="part 0 failed repeatedly: injected"):
         run_partitioned(F4, workers=workers, parts=[0])
     assert calls == [0, 0, 0]
+    # a kernel part, on a thread when workers > 1
+    monkeypatch.setattr(engine._Split, "part_coeffs", fail)
+    for unsigned in (False, True):
+        calls.clear()
+        with pytest.raises(WorkerFailure, match="part 0 failed repeatedly: injected"):
+            run_partitioned(
+                CartanType.parse("B5"), "B-4var", workers=workers, parts=[0], unsigned=unsigned
+            )
+        assert calls == [0, 0, 0]
 
 
 def test_failing_part_cancels_the_parts_still_pending(monkeypatch):
@@ -581,7 +663,9 @@ def test_failing_part_cancels_the_parts_still_pending(monkeypatch):
     assert len(calls) < jobs
 
 
-@pytest.mark.parametrize("name, profile", [("E6", "odd-length"), ("B5", "B-4var")])
+@pytest.mark.parametrize("name, profile", [
+    ("E6", "odd-length"), ("B5", "B-4var"), ("D5", "D-bivar"),
+])
 @pytest.mark.parametrize("unsigned", [False, True], ids=["signed", "unsigned"])
 def test_threads_need_no_fork(monkeypatch, name, profile, unsigned):
     ct = CartanType.parse(name)
@@ -693,7 +777,9 @@ def test_checkpoint_refused_for_runs_it_cannot_record(tmp_path, monkeypatch, kwa
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("name, profile", [("E6", "odd-length"), ("B5", "B-4var")])
+@pytest.mark.parametrize("name, profile", [
+    ("E6", "odd-length"), ("B5", "B-4var"), ("D5", "D-bivar"),
+])
 def test_unsigned_pool_equals_one_process(name, profile):
     ct = CartanType.parse(name)
     alone = run_partitioned(ct, profile, unsigned=True)
