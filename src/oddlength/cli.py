@@ -230,9 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gf.add_argument("--profile", default="odd-length")
     p_gf.add_argument("--restrict", default="full", choices=tuple(RESTRICTIONS))
     p_gf.add_argument("--threads", type=_positive_int, default=1,
-                      help="compute the parts of a multivariate series on this many"
-                      " threads (default 1); one-variable series run in one thread;"
-                      " the result does not depend on it")
+                      help="accepted for compatibility and changes nothing: every run"
+                      " computes its parts one after another in one thread")
     p_gf.add_argument("--checkpoint", help="checkpoint file path")
     p_gf.add_argument("--resume", action="store_true",
                       help="pick up completed parts from --checkpoint")

@@ -9,23 +9,24 @@ A domain is any list of levels whose products, one element per level taken
 left to right, give each of its elements once: the parabolic chain for the
 whole group, or the windows of gf._domain_levels for a restricted domain.
 The first level labels the parts.  A part's tally counts its codes, signed
-by parity, in int64, exact since run_partitioned refuses domains of 2^63
-elements or more.  Series in one variable go to the fold, others to the
-kernel.  Both refuse with BudgetExceeded what would take more working
-memory than one cap, _MEMORY_BYTES: the fold level by level, as it learns
-its states, the kernel before it stacks its prefix or suffix table.
+by parity (or unsigned), in int64, exact since run_partitioned refuses
+domains of 2^63 elements or more.
 
-_Fold.  The state g_v holds, for each positive root b, +c_a if v(a) = b and
--c_a if v(a) = -b.  Then code(u v) = code(v) + <neg_u, g_v> and
-g_{u v}(tgt_u(b)) = (1 - 2 neg_u(b)) g_v(b), so the levels after the first
-fold right to left into a few distinct states, each over the roots outer
-levels read, with a tally of width 2K (K = sum c_a + 1), even codes then
-odd: prepending u rolls it by <neg_u, g>, plus K when u is odd.  A part is
-one more such step, summed over the states (E8 has 72).
+_Fold, the engine of every run.  The state g_v holds, for each positive
+root b, +c_a if v(a) = b and -c_a if v(a) = -b.  Then code(u v) = code(v) +
+<neg_u, g_v> and g_{u v}(tgt_u(b)) = (1 - 2 neg_u(b)) g_v(b), so the levels
+after the first fold right to left into sparse entries (state, code, value),
+each state over the roots outer levels read: prepending u sends (s, c, v)
+to (image(s, u), c + <neg_u, g_s>, sign_u v), sign_u = (-1)^parity_u for
+signed counts and 1 for unsigned ones.  Entries that meet are summed;
+entries that cancel to 0 are dropped, and the states they leave empty with
+them, so a signed E8 run keeps 2 states.  A part is one more such step,
+summed by code.  A level that would take more working memory than one cap,
+_MEMORY_BYTES, is refused with BudgetExceeded before it is folded.
 
-_Split, the kernel.  Mixed radix weights make the fold's tallies wide and
-its states many (D8 D-bivar folds in 0.30 s, the kernel takes 0.04 s).
-With the levels after the first cut into prefix and suffix blocks,
+_Split, the kernel, is the second method of odd_length_gf_by_roots, which
+checks the fold.  With the levels after the first cut into prefix and
+suffix blocks,
 
     code(q p s) = sum over weighted roots a of
                   c_a (flag_s(a) XOR negbit_{q p}(target_s(a)))
@@ -38,14 +39,8 @@ suffixes and by its even ones minus its odd ones: suffixes that differ only
 in parity cancel, and a row of signed weight 0 leaves a signed product.  All
 entries and partial sums are integers below 2^24; under the memory cap a part
 has fewer than 2^53 elements (prefix rows x suffixes), so the float64
-bincount sums over it are exact too.
-
-The longest element w0 halves the work: it negates every positive root, so
-code(w0 w) = K - 1 - code(w) and length(w0 w) = N - length(w), and left
-multiplication by w0 maps each part of the full chain onto another one
-(each part of a restricted domain is computed directly).  The tally of that
-mirror part is the reversed tally times (-1)^N, so only one part of each
-pair is computed.
+bincount sums over it are exact too.  It refuses with BudgetExceeded a
+prefix or suffix table past _MEMORY_BYTES before stacking it.
 """
 
 from __future__ import annotations
@@ -54,23 +49,24 @@ import contextlib
 import hashlib
 import json
 import os
+import stat
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
-from functools import reduce
 from math import prod
 
 import numpy as np
 
 from .cartan import CartanType, RootSystem, group_order, root_system
 from .errors import (
-    BudgetExceeded, CheckpointCorrupt, CheckpointUnwritable, PartOutOfRange, UnsupportedProfile,
-    WeightsTooLarge, WorkerFailure,
+    BudgetExceeded, CheckpointCorrupt, CheckpointUnwritable, OddLengthError, PartOutOfRange,
+    UnsupportedProfile, WeightsTooLarge, WorkerFailure,
 )
 from .gf import GFResult, _domain_levels, _domain_shape, resolve_profile, root_weights
 from .poly import Poly
 from .weyl import (
-    WeylElement, check_budget, identity, multiply, transversal_chain, window_to_element,
+    WeylElement, check_budget, decimal_exponent, transversal_chain, window_to_element,
 )
 
 __all__ = ["odd_length_gf_by_roots", "run_partitioned", "Checkpoint"]
@@ -110,11 +106,11 @@ def _stacked(levels: Levels, columns: np.ndarray):
     return tgt, neg, parity
 
 
-def _longest(system: RootSystem, levels: Levels) -> WeylElement:
-    """Longest element of the group whose parabolic chain is levels: lengths
-    add along the chain and each level is sorted by length, so it is the
-    product of the last elements."""
-    return reduce(multiply, [level[-1] for level in levels], identity(system))
+def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for integer a and b, as int64, through float64 BLAS: numpy's
+    integer products take ten times longer.  Exact while every partial sum
+    is an integer below 2^53; a fold's are codes, below K."""
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
 
 
 def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,61 +129,28 @@ def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class _Parts:
     """A domain's parts as the parts loop sees them; each engine below adds
-    part_coeffs(i, unsigned), the signed (or unsigned) code tally of part i
-    as an int64 vector of length k."""
-    system: RootSystem
+    part_coeffs(i), the code tally of part i as an int64 vector of length k."""
     parts: list[WeylElement]          # first level of the domain
-    mirror: list[int]                 # index of the part holding w0 * part
     k: int                            # sum of the weights + 1
-
-    @staticmethod
-    def mirrors(system: RootSystem, chain: Levels, restricted: bool) -> list[int]:
-        """mirror for the parts of chain; a restricted part is its own."""
-        if restricted:
-            return list(range(len(chain[0])))
-        # w0 q W_J has the minimal representative w0 q w0_J, w0_J longest in
-        # W_J; as in WeylElement.key, elements agree on the first r roots
-        w0_j = _longest(system, chain[1:])
-        w0, r, n = multiply(chain[0][-1], w0_j), system.rank, system.size
-        tgt = np.stack([q.tgt for q in chain[0]]).astype(np.intp)
-        neg = np.stack([q.neg for q in chain[0]])
-        t = tgt[:, w0_j.tgt[:r]]
-        image = w0.tgt[t] + n * (w0_j.neg[:r] ^ neg[:, w0_j.tgt[:r]] ^ w0.neg[t]).astype(np.intp)
-        keys = tgt[:, :r] + n * neg[:, :r].astype(np.intp)
-        index = {row.tobytes(): i for i, row in enumerate(keys)}
-        return [index[row.tobytes()] for row in image]
-
-    def mirrored(self, coeffs: np.ndarray, unsigned: bool = False) -> np.ndarray:
-        """Tally of the mirror part, given the tally of its partner."""
-        flipped = coeffs[::-1]
-        return flipped if unsigned or self.system.size % 2 == 0 else -flipped
-
-    def pairs(self, todo) -> list[tuple[int, int | None]]:
-        """Parts to compute, each with the part its tally mirrors to.  A fixed
-        part, or one whose mirror is not in todo, comes with None."""
-        left = set(todo)
-        out = []
-        for i in todo:
-            if i in left:
-                left.discard(i)
-                m = self.mirror[i]
-                out.append((i, m if m in left else None))
-                left.discard(m)
-        return out
 
 
 @dataclass
 class _Fold(_Parts):
-    states: np.ndarray                # distinct states x roots the parts read
-    tallies: np.ndarray               # states x (even codes, then odd), int64
-    shifts: np.ndarray                # parts x states: <neg_q, g> + K parity_q
+    states: np.ndarray                # live states x roots the parts read
+    state: np.ndarray                 # per entry: its state, code and value
+    code: np.ndarray
+    value: np.ndarray
+    shifts: np.ndarray                # parts x states: <neg_q, g>
+    signs: np.ndarray                 # per part: sign_q
 
     @classmethod
     def build(
-        cls, system: RootSystem, weights: np.ndarray | None = None, levels: Levels | None = None
+        cls, system: RootSystem, weights: np.ndarray | None = None, levels: Levels | None = None,
+        unsigned: bool = False,
     ) -> "_Fold":
         """Fold of the levels after the first (of the whole group's chain by
-        default) for integer root weights (1 on the odd roots by default)."""
+        default) for integer root weights (1 on the odd roots by default),
+        its entries signed by parity unless unsigned."""
         if weights is None:
             weights = np.array(system.odd_mask, dtype=np.int64)
         chain = levels or transversal_chain(system)
@@ -201,39 +164,43 @@ class _Fold(_Parts):
         every, src = np.arange(len(flat))[:, None], np.empty_like(tgt)
         src[every, tgt] = np.arange(n)
         sign = 1 - 2 * neg[every, src].astype(dtype)
-        odd = k * np.array([u.parity for u in flat])  # a roll by K swaps the halves
+        parity = np.array([u.parity for u in flat], dtype=np.int64)
+        signs = np.ones_like(parity) if unsigned else 1 - 2 * parity
         # cols[j]: the roots levels 0..j-1 read, u reading supp(neg_u) and
         # tgt_u^-1 of what the levels before it read; a state needs no other
         read = [np.zeros(n, dtype=bool)]
         for lo, hi in zip(ends[:-1], ends[1:]):
             read.append(neg[lo:hi].any(axis=0) | read[-1][tgt[lo:hi]].any(axis=0))
         cols = [np.flatnonzero(r) for r in read]
-        # one state, the empty product's: code 0, even
-        states, tallies = weights[cols[-1]].astype(dtype)[None, :], np.eye(1, 2 * k, dtype=np.int64)
+        # one entry, the empty product's: code 0, value 1
+        states = weights[cols[-1]].astype(dtype)[None, :]
+        state, code, value = np.zeros(1, np.intp), np.zeros(1, np.int64), np.ones(1, np.int64)
         for j in range(len(chain) - 1, 0, -1):
             (lo, hi), have, keep = ends[j:j + 2], cols[j + 1], cols[j]
-            rowbytes = len(keep) * states.itemsize + 32 * k  # image, tally, its codes
-            _check_memory(f"folding {system.ctype} at one level", len(states), hi - lo, rowbytes)
-            shift = states.astype(np.int64) @ neg[lo:hi, have].T + odd[lo:hi]
+            # images and np.unique's sorted copy; entry keys, values and their sort
+            what = f"folding {system.ctype} at one level"
+            _check_memory(what, len(states), hi - lo, 4 * len(keep) * states.itemsize)
+            _check_memory(what, len(value), hi - lo, 64)
+            shift = _exact_product(states, neg[lo:hi, have].T)
             at = np.searchsorted(have, src[lo:hi, keep])
-            images = (states[:, at] * sign[lo:hi, keep]).reshape(len(states) * (hi - lo), -1)
+            images = (states[:, at] * sign[lo:hi, keep]).reshape(len(states) * (hi - lo), len(keep))
             first, inverse = _distinct_rows(images)
-            # code c of a state lands at c + shift in the tally of its image
-            code = (np.arange(2 * k) + shift[:, :, None]) % (2 * k)
-            code += 2 * k * inverse.reshape(shift.shape)[:, :, None]
-            folded = np.zeros(len(first) * 2 * k, dtype=np.int64)
-            np.add.at(folded, code.ravel(), np.broadcast_to(tallies[:, None], code.shape).ravel())
-            states, tallies = images[first], folded.reshape(len(first), 2 * k)
-        shifts = neg[:ends[1], cols[1]] @ states.T.astype(np.int64) + odd[:ends[1], None]
-        mirror = cls.mirrors(system, chain, levels is not None)
-        return cls(system, chain[0], mirror, k, states, tallies, shifts)
+            # entry (s, c, v) lands at image(s, u) * K + c + shift[s, u]
+            key = inverse.reshape(shift.shape)[state] * k + code[:, None] + shift[state]
+            key, landing = np.unique(key.ravel(), return_inverse=True)
+            total = np.zeros(len(key), dtype=np.int64)
+            np.add.at(total, landing, (value[:, None] * signs[lo:hi]).ravel())
+            key, value = key[total != 0], total[total != 0]
+            live, state = np.unique(key // k, return_inverse=True)
+            states, code = images[first[live]], key % k
+        shifts = _exact_product(neg[:ends[1], cols[1]], states.T)
+        return cls(chain[0], k, states, state, code, value, shifts, signs[:ends[1]])
 
-    def part_coeffs(self, part_index: int, unsigned: bool = False) -> np.ndarray:
-        """Signed tally of codes over one part, as an int64 vector."""
-        k = self.k
-        code = (np.arange(2 * k) - self.shifts[part_index][:, None]) % (2 * k)
-        tally = self.tallies[np.arange(len(code))[:, None], code].sum(axis=0)
-        return tally[:k] + tally[k:] if unsigned else tally[:k] - tally[k:]
+    def part_coeffs(self, part_index: int) -> np.ndarray:
+        """Tally of codes over one part, as an int64 vector."""
+        tally = np.zeros(self.k, dtype=np.int64)
+        np.add.at(tally, self.code + self.shifts[part_index][self.state], self.value)
+        return tally * self.signs[part_index]
 
 
 @dataclass
@@ -297,8 +264,7 @@ class _Split(_Parts):
         unsigned = np.bincount(inverse)
         signed = unsigned - 2 * np.bincount(inverse[sparity == 1], minlength=len(first))
         states = table[first].astype(np.float32)
-        mirror = cls.mirrors(system, chain, levels is not None)
-        return cls(system, parts, mirror, k, ptgt, pneg, pparity, states, signed, unsigned)
+        return cls(parts, k, ptgt, pneg, pparity, states, signed, unsigned)
 
     def part_coeffs(self, part_index: int, unsigned: bool = False) -> np.ndarray:
         """Signed tally of codes over one part, as an int64 vector."""
@@ -336,15 +302,10 @@ def _coeffs_to_poly(
 
 def odd_length_gf_by_roots(system: RootSystem, *, unsigned: bool = False) -> Poly:
     """Odd-length series over the whole group of system's type, with no
-    element budget, summed from the kernel's part tallies and their mirrors.
-    signed_gf folds every one-variable series, so this second method
-    checks the fold against the kernel."""
+    element budget, summed from the kernel's part tallies.  signed_gf runs
+    the fold, so this second method checks the fold against the kernel."""
     split = _Split.build(system)
-    total = np.zeros(split.k, dtype=np.int64)
-    for i, m in split.pairs(range(len(split.parts))):
-        coeffs = split.part_coeffs(i, unsigned)
-        total += coeffs if m is None else coeffs + split.mirrored(coeffs, unsigned)
-    return _coeffs_to_poly(total)
+    return _coeffs_to_poly(sum(split.part_coeffs(i, unsigned) for i in range(len(split.parts))))
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +342,18 @@ class Checkpoint:
         return {**body, "hash": _checkpoint_digest(body)}
 
     def write(self, path: str) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(json.dumps(self.payload(), separators=(",", ":")))
-        os.replace(tmp, path)
+        """Write to a fresh file beside path, then rename it over path; the
+        fresh file is removed if that fails."""
+        folder, name = os.path.split(path)
+        fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=folder or ".")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(json.dumps(self.payload(), separators=(",", ":")))
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def read(cls, path: str, ctype: CartanType, profile: str, n_parts: int) -> "Checkpoint":
@@ -402,8 +371,19 @@ class Checkpoint:
                 f" not {ctype}/{profile}"
             )
         ck = cls(ctype, profile, n_parts)
-        ck.done = set(int(i) for i in body["done"])
-        ck.partial = Poly.from_json_dict(body["partial"])
+        done = body["done"]
+        if not (isinstance(done, list) and all(type(i) is int and 0 <= i < n_parts for i in done)):
+            raise CheckpointCorrupt(f"checkpoint {path} lists parts outside [0, {n_parts})")
+        try:
+            partial = Poly.from_json_dict(body["partial"])
+        except (KeyError, TypeError, ValueError, OddLengthError):
+            partial = Poly.zero(())  # in no profile's variables
+        # in the profile's variables, and written as this program writes it
+        if partial.vars != ck.partial.vars or partial.to_json_dict() != body["partial"]:
+            raise CheckpointCorrupt(
+                f"checkpoint {path} holds no polynomial in {', '.join(ck.partial.vars)}"
+            )
+        ck.done, ck.partial = set(done), partial
         return ck
 
 
@@ -414,27 +394,23 @@ _CHECKPOINT_INTERVAL = 1.0  # seconds between checkpoint writes while parts land
 _TRIES = 3  # a part that raises this many times ends the run
 
 
-def _blas_threads():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
-    import ctypes
-    import glob
-
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
-            names = (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
-            if all(hasattr(lib, name) for name in names):
-                return tuple(getattr(lib, name) for name in names)
-    return None
-
-
 def _check_writable(path: str) -> None:
+    """CheckpointUnwritable unless path is absent or a regular file, in a
+    writable directory.  Decided by stat, which opens nothing: opening a
+    FIFO would block."""
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder) or not os.access(folder, os.W_OK):
         raise CheckpointUnwritable(
             f"cannot write checkpoint {path}: no writable directory {folder}"
         )
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        return
+    except OSError as exc:
+        raise CheckpointUnwritable(f"cannot write checkpoint {path}: {exc}") from exc
+    if not stat.S_ISREG(mode):
+        raise CheckpointUnwritable(f"cannot write checkpoint {path}: not a regular file")
 
 
 def run_partitioned(
@@ -458,24 +434,21 @@ def run_partitioned(
     and merging is plain addition, so completion order cannot change the
     result.  parts restricts the run to a subset (partial sums are
     meaningful and reproducible); resume continues from checkpoint_path,
-    which holds signed full-group runs only.  The engine (_Fold for one
-    variable, _Split for several) is built only when some part is still to do.
+    which holds signed full-group runs only.  The fold is built only when
+    some part is still to do, and its parts run one after another in the
+    calling thread; workers is accepted and selects nothing.  A part that
+    raises is tried _TRIES times in all, then the run ends in WorkerFailure.
 
     A run is admitted on its domain's size (|W|, or the product of the
     window level lengths of gf._domain_shape, known before any window is
     built): the element budget first, unless allow_large, then 2^63.
 
-    workers > 1 computes the kernel's parts on that many threads of this
-    process; a folded part costs less than a thread handoff, so a folded
-    series runs in the calling thread.  A part that raises is tried _TRIES
-    times in all, then the run ends in WorkerFailure.
-
-    Each landed tally (and its w0 mirror) is added into one running int64
-    array, which becomes a polynomial only when the checkpoint is written:
-    at most once every _CHECKPOINT_INTERVAL seconds, and once when the
-    parts loop ends, also by WorkerFailure or KeyboardInterrupt (unless that
-    stopped a merge halfway).  A killed process so loses at most one
-    interval of parts; a failing part none.
+    Each landed tally is added into one running int64 array, which becomes
+    a polynomial only when the checkpoint is written: at most once every
+    _CHECKPOINT_INTERVAL seconds, and once when the parts loop ends, also
+    by WorkerFailure or KeyboardInterrupt (unless that stopped a merge
+    halfway).  A killed process so loses at most one interval of parts; a
+    failing part none.
     """
     start = time.perf_counter()
     resolved = resolve_profile(profile, ctype)
@@ -485,7 +458,7 @@ def run_partitioned(
         check_budget(ctype, restriction, size)
     if size >= _EXACT_ELEMENTS:
         raise BudgetExceeded(
-            f"{ctype}: a domain of about 10^{len(str(size)) - 1} elements is past 2^63,"
+            f"{ctype}: a domain of about 10^{decimal_exponent(size)} elements is past 2^63,"
             " the most that int64 tallies count exactly"
         )
     if checkpoint_path and (shape is not None or unsigned):
@@ -512,8 +485,8 @@ def run_partitioned(
     weights, dims = root_weights(resolved, system)
 
     if todo:
-        split = (_Fold if len(dims) == 1 else _Split).build(system, weights, domain)
-        tally = np.zeros(split.k, dtype=np.int64)  # parts in ck.done, not yet in ck.partial
+        fold = _Fold.build(system, weights, domain, unsigned)
+        tally = np.zeros(fold.k, dtype=np.int64)  # parts in ck.done, not yet in ck.partial
         landed = 0
         merging = False  # ck.done and the tally may disagree while set
         began = written = time.monotonic()
@@ -526,16 +499,12 @@ def run_partitioned(
             if checkpoint_path:
                 ck.write(checkpoint_path)
 
-        def finish(index: int, mirror: int | None, coeffs: np.ndarray) -> None:
+        def finish(index: int, coeffs: np.ndarray) -> None:
             nonlocal landed, merging, written
             merging = True
-            merged = [index]
             np.add(tally, coeffs, out=tally)
-            if mirror is not None:
-                np.add(tally, split.mirrored(coeffs, unsigned), out=tally)
-                merged.append(mirror)
-            ck.done.update(merged)
-            landed += len(merged)
+            ck.done.add(index)
+            landed += 1
             now = time.monotonic()
             if checkpoint_path and now - written >= _CHECKPOINT_INTERVAL:
                 save()
@@ -547,38 +516,23 @@ def run_partitioned(
                 elapsed = max(now - began, 1e-9)
                 eta = elapsed * (len(wanted) - count) / landed
                 print(
-                    f"part {', '.join(map(str, merged))} done ({count}/{len(wanted)},"
+                    f"part {index} done ({count}/{len(wanted)},"
                     f" {landed / elapsed:.1f} parts/s, ETA {eta:.1f}s)",
                     file=sys.stderr,
                     flush=True,
                 )
 
-        def attempt(job: tuple[int, int | None]):
-            i, m = job
+        def attempt(i: int) -> np.ndarray:
             for tries in range(1, _TRIES + 1):
                 try:
-                    return i, m, split.part_coeffs(i, unsigned)
+                    return fold.part_coeffs(i)
                 except Exception as exc:
                     if tries == _TRIES:
                         raise WorkerFailure(f"part {i} failed repeatedly: {exc}") from exc
 
         try:
-            with contextlib.ExitStack() as threads:
-                part_map = map  # in the caller, BLAS untouched
-                if workers > 1 and isinstance(split, _Split):
-                    from concurrent.futures import ThreadPoolExecutor
-
-                    # each thread is one core's worth of work; BLAS threads on
-                    # top of it would oversubscribe the machine, so BLAS runs
-                    # on one thread until the run ends, however it ends
-                    get, put = _blas_threads() or (lambda: None, lambda n: None)
-                    threads.callback(put, get())
-                    put(1)
-                    pool = ThreadPoolExecutor(workers)
-                    threads.callback(pool.shutdown, cancel_futures=True)
-                    part_map = pool.map
-                for i, m, coeffs in part_map(attempt, split.pairs(todo)):
-                    finish(i, m, coeffs)
+            for i in todo:
+                finish(i, attempt(i))
         except BaseException:
             # every merged part still reaches the checkpoint, unless a Ctrl-C
             # stopped a merge halfway; a failing write must not replace the

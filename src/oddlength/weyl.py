@@ -36,6 +36,7 @@ __all__ = [
     "element_to_window",
     "enumerate_group",
     "check_budget",
+    "decimal_exponent",
     "transversal_chain",
     "conjugate_simple_system",
     "ConjugatedRootSystem",
@@ -45,13 +46,22 @@ __all__ = [
 DEFAULT_BUDGET = 10**8
 
 
+def decimal_exponent(size: int) -> int:
+    """floor(log10(size)) for size >= 1, from its bit length: str(size)
+    refuses integers of more than 4,300 digits."""
+    k = size.bit_length() * 30103 // 100000  # log10(2) < 0.30103
+    while 10**k > size:
+        k -= 1
+    return k
+
+
 def check_budget(ctype: CartanType, restriction: str = "full", size: int | None = None) -> None:
     """BudgetExceeded when the domain a run enumerates, of size elements (the
     order of the group of ctype by default), is past DEFAULT_BUDGET."""
     size = group_order(ctype) if size is None else size
     if size > DEFAULT_BUDGET:
         domain = ctype if restriction == "full" else f"the {restriction} domain of {ctype}"
-        count = size if size < 10**15 else f"about 10^{len(str(size)) - 1}"
+        count = size if size < 10**15 else f"about 10^{decimal_exponent(size)}"
         raise BudgetExceeded(
             f"{domain} has {count} elements, past the element budget {DEFAULT_BUDGET};"
             " opt in with gf --allow-large (allow_large=True in run_partitioned)"

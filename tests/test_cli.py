@@ -1,6 +1,7 @@
 """Command line behavior: output shapes and exit codes."""
 
 import json
+import os
 import re
 import time
 
@@ -209,15 +210,22 @@ def test_gf_restriction_undefined_on_the_type_before_the_budget(capsys):
     assert "not defined on family E" in err and err.count("\n") == 1
 
 
-def test_gf_kernel_past_its_memory_cap_exits_3_before_stacking(capsys, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("stacked a kernel table")
-
-    monkeypatch.setattr(engine, "_stacked", refuse)
-    code, out, err = run(capsys, "gf", "--type", "D13", "--profile", "D-bivar",
-                         "--allow-large", "--parts", "0")
+def test_gf_fold_past_its_memory_cap_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(engine, "_MEMORY_BYTES", 1 << 12)
+    code, out, err = run(capsys, "gf", "--type", "D6", "--profile", "D-bivar", "--json")
     assert code == 3 and out == ""
-    assert err.startswith("error: the kernel's prefix table on D13") and err.count("\n") == 1
+    assert err.startswith("error: folding D6 at one level takes ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("gf", "--type", "B1424"), ("gf", "--type", "B1424", "--allow-large"),
+    ("verify", "--type", "B2000"),
+], ids=" ".join)
+def test_ranks_past_4300_digit_orders_exit_3(capsys, argv):
+    # |W(B1424)| has 4,302 digits: str() of it raises, its bit length does not
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert re.match(r"error: B\d+(:| has) .*about 10\^\d+ elements", err) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name", ["B300", "C240"])
@@ -305,6 +313,52 @@ def test_gf_bad_checkpoint_exits_3(capsys, tmp_path, damage, type_name):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _rehashed(**fields):
+    """Damage that replaces fields of a checkpoint's body and renews its
+    hash, as a writer that does not validate would."""
+    def damage(path):
+        with open(path) as fh:
+            data = json.load(fh)
+        data.update(fields)
+        body = {k: data[k] for k in ("ctype", "profile", "n_parts", "done", "partial")}
+        data["hash"] = engine._checkpoint_digest(body)
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+    return damage
+
+
+@pytest.mark.parametrize("fields", [
+    {"done": [99]}, {"done": [-1]}, {"done": True}, {"done": [True]}, {"done": ["0"]},
+    {"done": [0.0]}, {"partial": None}, {"partial": [1]}, {"partial": {"vars": ["x"]}},
+    {"partial": {"vars": ["y"], "terms": []}},
+    {"partial": {"vars": ["x"], "terms": [{"e": [1, 2], "c": 1}]}},
+    {"partial": {"vars": ["x"], "terms": [{"e": [1], "c": 1.5}]}},
+    {"partial": {"vars": ["x"], "terms": [{"e": ["1"], "c": 1}]}},
+], ids=lambda fields: json.dumps(fields, separators=(",", ":")))
+def test_gf_hash_valid_checkpoint_with_a_bad_body_exits_3(capsys, tmp_path, fields):
+    ck = _f4_checkpoint(capsys, tmp_path)
+    _rehashed(**fields)(ck)
+    code, out, err = run(capsys, "gf", "--type", "F4", "--checkpoint", ck, "--resume", "--json")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: checkpoint {ck} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["directory", "fifo"])
+@pytest.mark.parametrize("resume", [(), ("--resume",)], ids=["fresh", "resume"])
+def test_gf_checkpoint_that_is_no_regular_file_exits_3(capsys, monkeypatch, tmp_path, kind, resume):
+    path = tmp_path / "run.ckpt"
+    path.mkdir() if kind == "directory" else os.mkfifo(path)  # never opened
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a part was started before the checkpoint was checked")
+
+    monkeypatch.setattr(engine._Fold, "build", no_build)
+    code, out, err = run(capsys, "gf", "--type", "F4", "--checkpoint", str(path), *resume)
+    assert (code, out) == (3, "")
+    assert err == f"error: cannot write checkpoint {path}: not a regular file\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.ckpt"]
+
+
 def test_gf_resume_ignores_a_stale_tmp_file(capsys, tmp_path):
     ck = _f4_checkpoint(capsys, tmp_path)
     with open(ck + ".tmp", "w") as fh:
@@ -315,34 +369,28 @@ def test_gf_resume_ignores_a_stale_tmp_file(capsys, tmp_path):
     assert out == run(capsys, "gf", "--type", "F4", "--json")[1]
 
 
-def _b8_kernel():
-    """B8 B-4var on the kernel, the engine that runs parts on threads, with
-    its variable bases: 16 parts in 8 mirror jobs."""
+def test_gf_worker_failure_keeps_merged_parts(capsys, monkeypatch, tmp_path):
     system = root_system(B8)
     weights, dims = root_weights(resolve_profile("B-4var", B8), system)
-    return engine._Split.build(system, weights), dims
-
-
-def test_gf_worker_failure_keeps_merged_parts(capsys, monkeypatch, tmp_path):
-    split, dims = _b8_kernel()
+    split = engine._Split.build(system, weights)
     tallies = [split.part_coeffs(i) for i in range(16)]
-    bad = split.pairs(range(16))[-1][0]
-    real = engine._Split.part_coeffs
+    bad = 9
+    real = engine._Fold.part_coeffs
 
-    def flaky(self, part_index, unsigned=False):
+    def flaky(self, part_index):
         if part_index == bad:
             raise RuntimeError("injected")
-        return real(self, part_index, unsigned)
+        return real(self, part_index)
 
-    monkeypatch.setattr(engine._Split, "part_coeffs", flaky)
+    monkeypatch.setattr(engine._Fold, "part_coeffs", flaky)
     ck = str(tmp_path / "b8.ckpt")
     argv = ("gf", "--type", "B8", "--profile", "B-4var", "--json")
     code, out, err = run(capsys, *argv, "--threads", "2", "--checkpoint", ck)
     assert code == 3 and out == ""
     assert "failed repeatedly" in err
     saved = engine.Checkpoint.read(ck, B8, "B-4var", 16)
-    # every other job lands before the third failure of the bad part
-    assert saved.done == set(range(16)) - {bad, split.mirror[bad]}
+    # the parts before the bad one land, and it ends the run
+    assert saved.done == set(range(bad))
     expect = sum(tallies[i] for i in saved.done)
     assert saved.partial == engine._coeffs_to_poly(expect, dims, saved.partial.vars)
 
@@ -362,9 +410,8 @@ def test_gf_progress_one_line_per_merged_job(capsys):
     code, out, err = run(capsys, *argv, "--threads", "2", "--progress")
     assert code == 0
     assert out == run(capsys, *argv)[1]
-    counts = _progress_counts(err)
-    assert len(counts) == len(_b8_kernel()[0].pairs(range(16)))
-    assert counts[-1] == "16/16"
+    assert _progress_counts(err) == [f"{i}/16" for i in range(1, 17)]
+    assert err.splitlines()[-1].startswith("part 15 done (16/16, ")
 
 
 def test_gf_progress_counts_only_wanted_parts(capsys, tmp_path):

@@ -1,8 +1,11 @@
 """Partitioned driver: part algebra, checkpoints, workers, budgets."""
 
+import ctypes
 import json
 import os
+import sys
 import threading
+from functools import reduce
 from math import prod
 
 import numpy as np
@@ -29,6 +32,7 @@ from oddlength.weyl import (
     enumerate_group,
     identity,
     length_by_roots,
+    multiply,
     odd_length_by_roots,
     transversal_chain,
     window_to_element,
@@ -38,13 +42,15 @@ F4 = CartanType.parse("F4")
 E6 = CartanType.parse("E6")
 E7 = CartanType.parse("E7")
 E8 = CartanType.parse("E8")
-B8 = CartanType.parse("B8")
 
 
-def _b8_kernel():
-    """B8 B-4var on the kernel: 16 parts in 8 mirror jobs."""
-    system = root_system(B8)
-    return engine._Split.build(system, root_weights(resolve_profile("B-4var", B8), system)[0])
+def _tally_of(engine_class, system, weights=None, levels=None):
+    """tally(i, unsigned) of part i on one engine; the fold is built once
+    per sign."""
+    if engine_class is engine._Split:
+        return engine._Split.build(system, weights, levels).part_coeffs
+    folds = [engine._Fold.build(system, weights, levels, unsigned) for unsigned in (False, True)]
+    return lambda i, unsigned=False: folds[unsigned].part_coeffs(i)
 
 
 def test_partitioned_equals_direct():
@@ -64,7 +70,6 @@ def test_workers_byte_identical():
     seq = run_partitioned(E6, workers=1).poly.dumps()
     par = run_partitioned(E6, workers=4).poly.dumps()
     assert seq == par
-    # a kernel profile, whose parts run on the threads
     d5 = CartanType.parse("D5")
     for unsigned in (False, True):
         seq = run_partitioned(d5, "D-bivar", unsigned=unsigned, workers=1).poly.dumps()
@@ -209,8 +214,8 @@ def test_checkpoint_written_each_interval_and_at_the_end(tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "time", _Clock(engine._CHECKPOINT_INTERVAL))
     path = str(tmp_path / "e6.ckpt")
     full = run_partitioned(E6, workers=2, checkpoint_path=path)
-    # one write per merged job, one when the loop ends
-    assert len(writes) == len(split.pairs(range(27))) + 1
+    # one write per merged part, one when the loop ends
+    assert len(writes) == 27 + 1
     assert writes[-1] == (list(range(27)), full.poly)
     for done, partial in writes:
         assert partial == engine._coeffs_to_poly(sum(tallies[i] for i in done))
@@ -223,10 +228,10 @@ def test_interrupt_saves_merged_parts_and_keeps_its_error(tmp_path, monkeypatch,
     split = engine._Fold.build(root_system(F4))
     real = engine._Fold.part_coeffs
 
-    def interrupted(self, part_index, unsigned=False):
+    def interrupted(self, part_index):
         if part_index == 2:
             raise KeyboardInterrupt
-        return real(self, part_index, unsigned)
+        return real(self, part_index)
 
     def full(self, path):
         raise OSError("no space left on device")
@@ -239,71 +244,92 @@ def test_interrupt_saves_merged_parts_and_keeps_its_error(tmp_path, monkeypatch,
         run_partitioned(F4, checkpoint_path=path)
     if not disk_full:
         saved = Checkpoint.read(path, F4, "odd-length", 24)
-        assert saved.done == {0, split.mirror[0], 1, split.mirror[1]}
+        assert saved.done == {0, 1}
         expect = sum(real(split, i) for i in saved.done)
         assert saved.partial == engine._coeffs_to_poly(expect)
 
 
 
+class _InterruptedOnceAdded(np.ndarray):
+    """A part tally whose addition into the running sum completes, and is
+    then interrupted before the part is marked done."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, np.ndarray) else x for x in inputs]
+        getattr(ufunc, method)(*plain, **kwargs)
+        raise KeyboardInterrupt
+
+
 def test_interrupt_inside_a_merge_writes_nothing_torn(tmp_path, monkeypatch):
     split = engine._Fold.build(root_system(F4))
-    calls = []
-    real = engine._Fold.mirrored
+    real = engine._Fold.part_coeffs
 
-    def interrupted(self, coeffs, unsigned=False):
-        # the second pair is stopped after its first part reached the tally
-        calls.append(1)
-        if len(calls) == 2:
-            raise KeyboardInterrupt
-        return real(self, coeffs, unsigned)
+    def interrupted(self, part_index):
+        coeffs = real(self, part_index)
+        return coeffs.view(_InterruptedOnceAdded) if part_index == 1 else coeffs
 
-    monkeypatch.setattr(engine._Fold, "mirrored", interrupted)
+    monkeypatch.setattr(engine._Fold, "part_coeffs", interrupted)
     monkeypatch.setattr(engine, "time", _Clock(engine._CHECKPOINT_INTERVAL))
     path = str(tmp_path / "f4.ckpt")
     with pytest.raises(KeyboardInterrupt):
         run_partitioned(F4, checkpoint_path=path)
+    # part 1 reached the tally but not done: the file keeps part 0 alone
     saved = Checkpoint.read(path, F4, "odd-length", 24)
-    assert saved.done == {0, split.mirror[0]}
-    expect = split.part_coeffs(0) + split.part_coeffs(split.mirror[0])
-    assert saved.partial == engine._coeffs_to_poly(expect)
+    assert saved.done == {0}
+    assert saved.partial == engine._coeffs_to_poly(split.part_coeffs(0))
 
 
 # ---------------------------------------------------------------------------
 # w0 mirror pairs and the sign-coded kernel
 
 
-def _assert_pairs_mirror(split, indices):
+def _longest(system, levels):
+    """Product of the last elements of the levels of a parabolic chain."""
+    return reduce(multiply, [level[-1] for level in levels], identity(system))
+
+
+def _mirrors(system):
+    """For each part q of the whole group's chain, the index of the part
+    holding w0 q: w0 q W_J has the minimal representative w0 q w0_J."""
+    chain = transversal_chain(system)
+    w0_j = _longest(system, chain[1:])
+    w0 = multiply(chain[0][-1], w0_j)
+    index = {q.key(): i for i, q in enumerate(chain[0])}
+    return [index[multiply(multiply(w0, q), w0_j).key()] for q in chain[0]]
+
+
+def _assert_pairs_mirror(system, tally, mirror, indices):
+    # w0 negates every positive root: code(w0 w) = K - 1 - code(w), and
+    # length(w0 w) = N - length(w)
+    sign = (-1) ** system.size
     for i in indices:
-        m = split.mirror[i]
-        assert split.mirror[m] == i
-        direct_i = split.part_coeffs(i)
-        direct_m = split.part_coeffs(m)
-        assert np.array_equal(direct_m, split.mirrored(direct_i))
-        assert np.array_equal(direct_i, split.mirrored(direct_m))
-        unsigned_i = split.part_coeffs(i, unsigned=True)
-        assert np.array_equal(split.part_coeffs(m, unsigned=True), unsigned_i[::-1])
+        m = mirror[i]
+        assert mirror[m] == i
+        assert np.array_equal(tally(m), sign * tally(i)[::-1])
+        assert np.array_equal(tally(m, True), tally(i, True)[::-1])
 
 
 _ENGINES = (engine._Fold, engine._Split)
 
 
 def test_mirror_pairs_e6_e7():
+    # every part is computed directly; its w0 mirror's tally is its reverse
+    e6, e7 = root_system(E6), root_system(E7)
+    e6_mirror, e7_mirror = _mirrors(e6), _mirrors(e7)
+    assert len([i for i, m in enumerate(e6_mirror) if m == i]) == 3
+    assert all(m != i for i, m in enumerate(e7_mirror))
     for engine_class in _ENGINES:
-        e6 = engine_class.build(root_system(E6))
-        fixed = [i for i, m in enumerate(e6.mirror) if m == i]
-        assert len(fixed) == 3
-        _assert_pairs_mirror(e6, range(27))
-        e7 = engine_class.build(root_system(E7))
-        assert all(m != i for i, m in enumerate(e7.mirror))
-        _assert_pairs_mirror(e7, range(56))
+        _assert_pairs_mirror(e6, _tally_of(engine_class, e6), e6_mirror, range(27))
+        _assert_pairs_mirror(e7, _tally_of(engine_class, e7), e7_mirror, range(56))
 
 
 def test_mirror_pair_e8():
+    e8 = root_system(E8)
+    mirror = _mirrors(e8)
+    assert all(m != i for i, m in enumerate(mirror))
+    assert len(set(mirror)) == 240
     for engine_class in _ENGINES:
-        e8 = engine_class.build(root_system(E8))
-        assert all(m != i for i, m in enumerate(e8.mirror))
-        assert len(set(e8.mirror)) == 240
-        _assert_pairs_mirror(e8, [0])
+        _assert_pairs_mirror(e8, _tally_of(engine_class, e8), mirror, [0])
 
 
 # tallies of single parts, computed before the suffix states replaced the
@@ -339,9 +365,9 @@ _PINNED_PARTS = {
 def test_part_tallies_are_pinned(group, part):
     signed, unsigned = _PINNED_PARTS[group, part]
     for engine_class in _ENGINES:
-        split = engine_class.build(root_system(CartanType.parse(group)))
-        assert split.part_coeffs(part).tolist() == signed, engine_class
-        assert split.part_coeffs(part, unsigned=True).tolist() == unsigned, engine_class
+        tally = _tally_of(engine_class, root_system(CartanType.parse(group)))
+        assert tally(part).tolist() == signed, engine_class
+        assert tally(part, True).tolist() == unsigned, engine_class
 
 
 _SMALL_TYPES = (
@@ -356,8 +382,8 @@ def test_chain_product_is_the_longest_element(name):
     system = root_system(CartanType.parse(name))
     chain = transversal_chain(system)
     r = system.rank
-    assert engine._longest(system, chain) == _sift(identity(system), r, longest=True)
-    assert engine._longest(system, chain[1:]) == _sift(identity(system), r - 1, longest=True)
+    assert _longest(system, chain) == _sift(identity(system), r, longest=True)
+    assert _longest(system, chain[1:]) == _sift(identity(system), r - 1, longest=True)
 
 
 def _domain(name, profile="odd-length", restriction="full"):
@@ -446,6 +472,7 @@ def test_kernel_with_no_live_signed_state():
 
 
 _ONE_VARIABLE = ("odd-length", "uni-ooe", "uni-eoe", "uni-eoo")
+_MORE_PROFILES = {"B5": ("B-4var",), "D5": ("D-bivar",)}
 
 
 @pytest.mark.parametrize("name", [name for name in _SMALL_TYPES if name != "E8"])
@@ -453,24 +480,25 @@ def test_fold_equals_kernel_part_by_part(name):
     ct = CartanType.parse(name)
     system = root_system(ct)
     profiles = _ONE_VARIABLE if ct.family == "B" else _ONE_VARIABLE[:1]
-    for profile in profiles:
-        weights, dims = root_weights(resolve_profile(profile, ct), system)
-        assert len(dims) == 1
-        fold = engine._Fold.build(system, weights)
+    for profile in profiles + _MORE_PROFILES.get(name, ()):
+        weights, _ = root_weights(resolve_profile(profile, ct), system)
+        fold = _tally_of(engine._Fold, system, weights)
         split = engine._Split.build(system, weights)
-        assert (fold.mirror, fold.k) == (split.mirror, split.k)
         for i in range(len(split.parts)):
             for unsigned in (False, True):
                 assert np.array_equal(
-                    fold.part_coeffs(i, unsigned), split.part_coeffs(i, unsigned)
+                    fold(i, unsigned), split.part_coeffs(i, unsigned)
                 ), (profile, i, unsigned)
 
 
 def test_e8_folds_to_few_states():
-    fold = engine._Fold.build(root_system(E8))
-    assert len(fold.states) == 72
-    # every state's tally counts its elements: 696,729,600 / 240 parts
-    assert fold.tallies.sum() == 2903040
+    system = root_system(E8)
+    signed, unsigned = (engine._Fold.build(system, unsigned=u) for u in (False, True))
+    # signs cancel all but 2 states; unsigned entries count every element
+    # of a part, 696,729,600 / 240, over 72 states
+    assert len(signed.states) == 2
+    assert len(unsigned.states) == 72
+    assert unsigned.value.sum() == 2903040
 
 
 @pytest.mark.parametrize("unsigned", [False, True], ids=["signed", "unsigned"])
@@ -478,7 +506,7 @@ def test_restricted_folds_match_window_oracle(monkeypatch, unsigned):
     from oracle import RESTRICTION_PREDICATES, gf_by_windows
 
     def no_build(*args, **kwargs):
-        raise AssertionError("a one-variable run built the kernel")
+        raise AssertionError("a restricted run built the kernel")
 
     monkeypatch.setattr(engine._Split, "build", no_build)
     groups = [f"A{n}" for n in range(1, 8)] + [f"D{n}" for n in range(2, 7)]
@@ -492,24 +520,32 @@ def test_restricted_folds_match_window_oracle(monkeypatch, unsigned):
             assert (res.poly, res.elements) == expect, (ct, restriction)
 
 
-@pytest.mark.parametrize("name, profile, restriction, unused", [
-    ("E6", "odd-length", "full", "_Split"),
-    ("B4", "uni-eoe", "full", "_Split"),
-    ("A4", "odd-length", "unimodal", "_Split"),
-    ("B5", "B-4var", "full", "_Fold"),
-    ("D5", "D-bivar", "full", "_Fold"),
-    ("D5", "D-bivar", "good-chessboard", "_Fold"),
+@pytest.mark.parametrize("name, profile, restriction", [
+    ("E6", "odd-length", "full"),
+    ("B4", "uni-eoe", "full"),
+    ("A4", "odd-length", "unimodal"),
+    ("B5", "B-4var", "full"),
+    ("D5", "D-bivar", "full"),
+    ("D5", "D-bivar", "good-chessboard"),
 ])
 @pytest.mark.parametrize("unsigned", [False, True], ids=["signed", "unsigned"])
-def test_runs_route_by_variable_count(monkeypatch, name, profile, restriction, unused, unsigned):
+def test_every_run_builds_only_the_fold(monkeypatch, name, profile, restriction, unsigned):
     ct = CartanType.parse(name)
     expect = run_partitioned(ct, profile, restriction, unsigned=unsigned).poly
+    built = []
+    real = engine._Fold.build.__func__
+
+    def watched(cls, system, weights, levels, unsigned):
+        built.append(unsigned)
+        return real(cls, system, weights, levels, unsigned)
 
     def no_build(*args, **kwargs):
-        raise AssertionError(f"{unused} built")
+        raise AssertionError("_Split built")
 
-    monkeypatch.setattr(getattr(engine, unused), "build", no_build)
+    monkeypatch.setattr(engine._Fold, "build", classmethod(watched))
+    monkeypatch.setattr(engine._Split, "build", no_build)
     assert run_partitioned(ct, profile, restriction, unsigned=unsigned).poly == expect
+    assert built == [unsigned]
 
 
 @pytest.mark.parametrize("name, restriction", [
@@ -563,19 +599,24 @@ def _no_stacking(monkeypatch):
     monkeypatch.setattr(engine, "_stacked", refuse)
 
 
+def _d_bivar_kernel(rank):
+    ct = CartanType.parse(f"D{rank}")
+    system = root_system(ct)
+    return engine._Split.build(system, root_weights(resolve_profile("D-bivar", ct), system)[0])
+
+
 def test_kernel_refuses_a_table_past_its_memory_cap(monkeypatch):
     # D13 D-bivar would stack 3,041,280 prefix rows over 156 roots
     _no_stacking(monkeypatch)
-    d13 = CartanType.parse("D13")
     with pytest.raises(BudgetExceeded, match="kernel's prefix table on D13 takes 3041280 x 158"):
-        run_partitioned(d13, "D-bivar", allow_large=True, parts=[0])
+        _d_bivar_kernel(13)
 
 
 def test_kernel_stacks_a_table_under_its_memory_cap(monkeypatch):
     # D12 D-bivar's prefix table, 126,720 rows over 132 roots, is under the cap
     _no_stacking(monkeypatch)
     with pytest.raises(AssertionError, match="stacked a kernel table"):
-        run_partitioned(CartanType.parse("D12"), "D-bivar", allow_large=True, parts=[0])
+        _d_bivar_kernel(12)
 
 
 def _brute_force(ct, unsigned):
@@ -596,22 +637,25 @@ def test_by_roots_equals_brute_force(ct):
 
 
 def test_subset_with_one_pair_member():
+    # a part and its w0 mirror are computed apart, one without the other
     split = engine._Split.build(root_system(E6))
-    i = next(i for i, m in enumerate(split.mirror) if m != i)
-    fixed = next(i for i, m in enumerate(split.mirror) if m == i)
-    for subset in ([i], [split.mirror[i]], [i, fixed], [i, split.mirror[i], fixed]):
+    mirror = _mirrors(root_system(E6))
+    i = next(i for i, m in enumerate(mirror) if m != i)
+    fixed = next(i for i, m in enumerate(mirror) if m == i)
+    for subset in ([i], [mirror[i]], [i, fixed], [i, mirror[i], fixed]):
         expect = engine._coeffs_to_poly(sum(split.part_coeffs(j) for j in subset))
         assert run_partitioned(E6, parts=subset).poly == expect
         assert run_partitioned(E6, parts=subset, workers=2).poly == expect
-    # the same on a kernel profile, whose parts run on the threads
+    # the same on a profile in several variables, held to the kernel
     d5 = CartanType.parse("D5")
     resolved = resolve_profile("D-bivar", d5)
     system = root_system(d5)
     weights, dims = root_weights(resolved, system)
     split = engine._Split.build(system, weights)
-    i = next(i for i, m in enumerate(split.mirror) if m != i)
-    fixed = next(i for i, m in enumerate(split.mirror) if m == i)
-    for subset in ([i], [split.mirror[i]], [i, fixed], [i, split.mirror[i], fixed]):
+    mirror = _mirrors(system)
+    i = next(i for i, m in enumerate(mirror) if m != i)
+    fixed = next(i for i, m in enumerate(mirror) if m == i)
+    for subset in ([i], [mirror[i]], [i, fixed], [i, mirror[i], fixed]):
         for unsigned in (False, True):
             tally = sum(split.part_coeffs(j, unsigned) for j in subset)
             expect = engine._coeffs_to_poly(tally, dims, resolved.vars)
@@ -623,44 +667,18 @@ def test_subset_with_one_pair_member():
 def test_failing_part_is_retried_then_fails(monkeypatch, workers):
     calls = []
 
-    def fail(self, part_index, unsigned=False):
+    def fail(self, part_index):
         calls.append(part_index)
         raise RuntimeError("injected")
 
     monkeypatch.setattr(engine._Fold, "part_coeffs", fail)
-    with pytest.raises(WorkerFailure, match="part 0 failed repeatedly: injected"):
-        run_partitioned(F4, workers=workers, parts=[0])
-    assert calls == [0, 0, 0]
-    # a kernel part, on a thread when workers > 1
-    monkeypatch.setattr(engine._Split, "part_coeffs", fail)
-    for unsigned in (False, True):
+    for ct, profile, unsigned in (F4, "odd-length", False), *(
+        (CartanType.parse("B5"), "B-4var", unsigned) for unsigned in (False, True)
+    ):
         calls.clear()
         with pytest.raises(WorkerFailure, match="part 0 failed repeatedly: injected"):
-            run_partitioned(
-                CartanType.parse("B5"), "B-4var", workers=workers, parts=[0], unsigned=unsigned
-            )
+            run_partitioned(ct, profile, workers=workers, parts=[0], unsigned=unsigned)
         assert calls == [0, 0, 0]
-
-
-def test_failing_part_cancels_the_parts_still_pending(monkeypatch):
-    jobs = len(_b8_kernel().pairs(range(16)))
-    assert jobs == 8
-    calls = []
-    real = engine._Split.part_coeffs
-
-    def flaky(self, part_index, unsigned=False):
-        calls.append(part_index)
-        if part_index == 0:
-            raise RuntimeError("injected")
-        return real(self, part_index, unsigned)
-
-    monkeypatch.setattr(engine._Split, "part_coeffs", flaky)
-    with pytest.raises(WorkerFailure):
-        run_partitioned(B8, "B-4var", workers=2)
-    # three tries of part 0 and the few parts the other thread had started,
-    # fewer calls than the jobs of a whole run
-    assert calls.count(0) == 3
-    assert len(calls) < jobs
 
 
 @pytest.mark.parametrize("name, profile", [
@@ -668,86 +686,23 @@ def test_failing_part_cancels_the_parts_still_pending(monkeypatch):
 ])
 @pytest.mark.parametrize("unsigned", [False, True], ids=["signed", "unsigned"])
 def test_threads_need_no_fork(monkeypatch, name, profile, unsigned):
+    # workers is accepted and selects nothing: no process, thread, thread
+    # pool or BLAS handle, and no kernel
     ct = CartanType.parse(name)
-    alone = run_partitioned(ct, profile, unsigned=unsigned).poly.dumps()
+    alone = run_partitioned(ct, profile, unsigned=unsigned).poly
 
-    def no_fork():
-        raise AssertionError("a run forked")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run with workers reached for more than the fold")
 
-    monkeypatch.setattr(os, "fork", no_fork)
-    threaded = run_partitioned(ct, profile, unsigned=unsigned, workers=2)
-    assert threaded.poly.dumps() == alone
-
-
-@pytest.mark.parametrize("fails", [False, True], ids=["finished", "failed"])
-def test_blas_thread_count_is_restored(monkeypatch, fails):
-    blas = engine._blas_threads()
-    if blas is None:
-        pytest.skip("numpy has no bundled OpenBLAS thread setter")
-    get, put = blas
-    seen = []
-    real = engine._Split.part_coeffs
-
-    def watched(self, part_index, unsigned=False):
-        seen.append(get())
-        if fails:
-            raise RuntimeError("injected")
-        return real(self, part_index, unsigned)
-
-    monkeypatch.setattr(engine._Split, "part_coeffs", watched)
-    before = get()
-    put(2)  # a count the run must change and give back, also on one core
-    try:
-        if fails:
-            with pytest.raises(WorkerFailure):
-                run_partitioned(B8, "B-4var", workers=2)
-        else:
-            run_partitioned(B8, "B-4var", workers=2)
-        assert get() == 2
-    finally:
-        put(before)
-    assert seen and set(seen) == {1}
-
-
-def test_folded_run_starts_no_thread_and_leaves_blas(monkeypatch):
-    blas = engine._blas_threads()
-    get, put = blas or (lambda: None, lambda n: None)
-    seen = []
-    real = engine._Fold.part_coeffs
-
-    def watched(self, part_index, unsigned=False):
-        seen.append((threading.current_thread(), threading.active_count(), get()))
-        return real(self, part_index, unsigned)
-
-    monkeypatch.setattr(engine._Fold, "part_coeffs", watched)
-    before = get()
-    put(2)
-    try:
-        baseline = threading.active_count()
-        res = run_partitioned(F4, workers=4)
-        assert get() == (2 if blas else None)
-    finally:
-        put(before)
-    assert seen and set(seen) == {(threading.current_thread(), baseline, 2 if blas else None)}
-    assert res.poly.dumps() == run_partitioned(F4).poly.dumps()
-
-
-def test_threads_started_at_most_one_per_job(monkeypatch):
-    jobs = len(_b8_kernel().pairs(range(16)))
-    assert jobs == 8
-    alive = []
-    real = engine._Split.part_coeffs
-
-    def counted(self, part_index, unsigned=False):
-        alive.append(threading.active_count())
-        return real(self, part_index, unsigned)
-
-    monkeypatch.setattr(engine._Split, "part_coeffs", counted)
-    baseline = threading.active_count()
-    res = run_partitioned(B8, "B-4var", workers=64)
-    assert max(alive) - baseline <= jobs
-    assert threading.active_count() == baseline
-    assert res.poly.dumps() == run_partitioned(B8, "B-4var").poly.dumps()
+    for owner, attr in (os, "fork"), (threading.Thread, "start"), (ctypes, "CDLL"), (
+        engine._Split, "build"
+    ):
+        monkeypatch.setattr(owner, attr, refuse)
+    monkeypatch.setitem(sys.modules, "concurrent.futures", None)  # import fails
+    pooled = run_partitioned(ct, profile, unsigned=unsigned, workers=4).poly
+    assert pooled.dumps() == alone.dumps()
+    if unsigned:
+        assert pooled.eval_int((1,) * len(pooled.vars)) == group_order(ct)
 
 
 def test_large_group_needs_opt_in():
@@ -777,17 +732,6 @@ def test_checkpoint_refused_for_runs_it_cannot_record(tmp_path, monkeypatch, kwa
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("name, profile", [
-    ("E6", "odd-length"), ("B5", "B-4var"), ("D5", "D-bivar"),
-])
-def test_unsigned_pool_equals_one_process(name, profile):
-    ct = CartanType.parse(name)
-    alone = run_partitioned(ct, profile, unsigned=True)
-    pooled = run_partitioned(ct, profile, unsigned=True, workers=2)
-    assert pooled.poly.dumps() == alone.poly.dumps()
-    assert alone.poly.eval_int((1,) * len(alone.poly.vars)) == group_order(ct)
-
-
 def test_full_e8_polynomial():
     res = run_partitioned(CartanType.parse("E8"), workers=4, allow_large=True)
     expect = {
@@ -810,6 +754,67 @@ def test_oversized_weights_refused_before_the_build(monkeypatch):
     weights[0] = 1 << 22
     with pytest.raises(WeightsTooLarge):
         engine._Split.build(system, weights)
+
+
+# partial checkpoints and full series written while w0 mirror pairs were
+# computed as one job: E6 with two pairs and a fixed part done, B5 B-4var
+# (then on the kernel) with parts 0, 3 and 4; resumed, each must give the
+# bytes of the run that wrote it
+_OLDER_CHECKPOINTS = {
+    ("E6", "odd-length"): (
+        '{"ctype":"E6","profile":"odd-length","n_parts":27,"done":[0,3,12,23,26],"partial":{"va'
+        'rs":["x"],"terms":[{"e":[0],"c":1},{"e":[2],"c":-3},{"e":[3],"c":1},{"e":[4],"c":1},{"'
+        'e":[6],"c":2},{"e":[7],"c":-2},{"e":[8],"c":-2},{"e":[9],"c":1},{"e":[10],"c":2},{"e":'
+        '[11],"c":1},{"e":[12],"c":-2},{"e":[13],"c":-2},{"e":[14],"c":2},{"e":[16],"c":1},{"e"'
+        ':[17],"c":1},{"e":[18],"c":-3},{"e":[20],"c":1}]},"hash":"48d6b189c84f932bf554d0fdf686'
+        'ef75f1f22776092078d6b3636efda7cec895"}',
+        '{"vars":["x"],"terms":[{"e":[0],"c":1},{"e":[2],"c":-1},{"e":[4],"c":-1},{"e":[10],"c"'
+        ':2},{"e":[16],"c":-1},{"e":[18],"c":-1},{"e":[20],"c":1}]}',
+    ),
+    ("B5", "B-4var"): (
+        '{"ctype":"B5","profile":"B-4var","n_parts":10,"done":[0,3,4],"partial":{"vars":["x1","'
+        'x2","y","z"],"terms":[{"e":[0,0,0,0],"c":1},{"e":[0,0,2,0],"c":-2},{"e":[0,0,3,0],"c":'
+        '1},{"e":[0,0,5,0],"c":-1},{"e":[0,0,6,0],"c":1},{"e":[1,0,1,1],"c":-1},{"e":[1,0,2,0],'
+        '"c":1},{"e":[1,0,3,1],"c":1},{"e":[1,0,4,0],"c":-1},{"e":[1,1,0,0],"c":-1},{"e":[1,1,0'
+        ',2],"c":-1},{"e":[1,1,2,0],"c":2},{"e":[1,1,2,2],"c":2},{"e":[1,1,2,3],"c":-1},{"e":[1'
+        ',1,3,0],"c":-1},{"e":[1,1,3,1],"c":1},{"e":[1,1,3,3],"c":1},{"e":[1,1,4,0],"c":-1},{"e'
+        '":[1,1,4,2],"c":-1},{"e":[1,1,4,3],"c":1},{"e":[1,1,5,0],"c":1},{"e":[1,1,5,1],"c":-1}'
+        ',{"e":[1,1,5,3],"c":-1},{"e":[2,1,0,4],"c":1},{"e":[2,1,1,3],"c":-1},{"e":[2,1,2,4],"c'
+        '":-1},{"e":[2,1,3,3],"c":1},{"e":[2,2,0,2],"c":1},{"e":[2,2,2,2],"c":-2},{"e":[2,2,2,3'
+        '],"c":1},{"e":[2,2,2,4],"c":-1},{"e":[2,2,4,2],"c":1},{"e":[2,2,4,3],"c":-1},{"e":[2,2'
+        ',4,4],"c":1}]},"hash":"052ea53804cba18d7291ad4fe8e959dcb43f1fe238e80198a3122457ee38d9b'
+        '6"}',
+        '{"vars":["x1","x2","y","z"],"terms":[{"e":[0,0,0,0],"c":1},{"e":[0,0,2,0],"c":-1},{"e"'
+        ':[0,0,4,0],"c":-1},{"e":[0,0,6,0],"c":1},{"e":[1,0,0,2],"c":-1},{"e":[1,0,2,2],"c":1},'
+        '{"e":[1,0,4,2],"c":1},{"e":[1,0,6,2],"c":-1},{"e":[1,1,0,0],"c":-1},{"e":[1,1,0,2],"c"'
+        ':-1},{"e":[1,1,2,0],"c":1},{"e":[1,1,2,2],"c":1},{"e":[1,1,4,0],"c":1},{"e":[1,1,4,2],'
+        '"c":1},{"e":[1,1,6,0],"c":-1},{"e":[1,1,6,2],"c":-1},{"e":[2,1,0,2],"c":1},{"e":[2,1,0'
+        ',4],"c":1},{"e":[2,1,2,2],"c":-1},{"e":[2,1,2,4],"c":-1},{"e":[2,1,4,2],"c":-1},{"e":['
+        '2,1,4,4],"c":-1},{"e":[2,1,6,2],"c":1},{"e":[2,1,6,4],"c":1},{"e":[2,2,0,2],"c":1},{"e'
+        '":[2,2,2,2],"c":-1},{"e":[2,2,4,2],"c":-1},{"e":[2,2,6,2],"c":1},{"e":[3,2,0,4],"c":-1'
+        '},{"e":[3,2,2,4],"c":1},{"e":[3,2,4,4],"c":1},{"e":[3,2,6,4],"c":-1}]}',
+    ),
+}
+
+
+@pytest.mark.parametrize("name, profile", list(_OLDER_CHECKPOINTS), ids=" ".join)
+def test_older_checkpoint_resumes_to_the_same_bytes(tmp_path, name, profile):
+    text, full = _OLDER_CHECKPOINTS[name, profile]
+    path = tmp_path / "older.ckpt"
+    path.write_text(text)
+    res = run_partitioned(CartanType.parse(name), profile, checkpoint_path=str(path), resume=True)
+    assert res.parts_done == tuple(range(res.n_parts))
+    assert res.poly.dumps() == full
+
+
+def test_failed_checkpoint_write_leaves_no_file(tmp_path, monkeypatch):
+    def no_rename(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", no_rename)
+    with pytest.raises(OSError, match="rename refused"):
+        run_partitioned(F4, checkpoint_path=str(tmp_path / "f4.ckpt"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_multivariate_checkpoint_resume(tmp_path):

@@ -64,7 +64,7 @@ def test_package_exports_exist():
 
 
 def test_import_loads_no_pool_machinery():
-    # a thread pool is imported only by a run with more than one worker
+    # nothing in the package starts a thread or process pool
     code = (
         "import sys, oddlength, oddlength.cli; "
         "print(*sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"

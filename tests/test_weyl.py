@@ -12,6 +12,7 @@ from oddlength.weyl import (
     ConjugatedRootSystem,
     _sift,
     conjugate_simple_system,
+    decimal_exponent,
     element_to_window,
     enumerate_group,
     identity,
@@ -232,3 +233,10 @@ def test_conjugated_system_rejects_foreign_elements():
     conj = conjugate_simple_system(rs, identity(rs))
     with pytest.raises(SystemMismatch):
         conj.length_of(identity(other))
+
+
+def test_decimal_exponent_counts_digits_without_str():
+    # str() refuses ints past 4,300 digits; the bit-length estimate does not
+    for k in (1, 2, 15, 18, 19, 63, 4299, 4300, 6337):
+        for size, exponent in (10**k - 1, k - 1), (10**k, k), (2 * 10**k, k), (10**k * 10 - 1, k):
+            assert decimal_exponent(size) == exponent, (k, size % 1000)
