@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import factorial
+from math import factorial, lgamma, log
 
 import numpy as np
 
@@ -40,9 +40,11 @@ Coords = tuple[int, ...]
 _EXCEPTIONAL_RANK = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
 
 _MAX_ROOTS = int(np.iinfo(np.int16).max)  # root indices are int16 (weyl, engine)
-# the closure and its tables take about 0.3 us per positive root x rank^2
-# on a 2-core x86 machine, so what this refuses would take 3 s or more
+# the closure and its tables take about 0.04 us per positive root x rank^2
+# on a 2-core x86 machine (0.3 s at A65), the chain about twice as long
 _MAX_BUILD = 10**7
+# no domain past 2^63 runs; this only keeps refusing larger orders cheap
+_ORDER_BITS = 1 << 16
 
 # Edges of the simply laced E diagrams, Bourbaki numbering shifted to 0-based.
 _E8_EDGES = ((0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3))
@@ -93,8 +95,15 @@ class CartanType:
 
 
 def group_order(ctype: CartanType) -> int:
-    """Order of the Weyl group."""
+    """Order of the Weyl group.  An order past 2^_ORDER_BITS is refused with
+    BudgetExceeded on its logarithm, before any factorial is built: n! takes
+    seconds from n = 10^6 on, and math.factorial refuses n past a C long."""
     n = ctype.rank
+    signs = 0 if ctype.family == "A" else n - (ctype.family == "D")  # classical: 2^signs n!
+    ln = lgamma(ctype.window_size + 1) + signs * log(2) if ctype.is_classical else 0
+    if ln > _ORDER_BITS * log(2):
+        raise BudgetExceeded(f"{ctype} has about 10^{int(ln / log(10))} elements, far past"
+                             " the element budget and the 2^63 that int64 tallies count")
     if ctype.family == "A":
         return factorial(n + 1)
     if ctype.family in "BC":
@@ -159,34 +168,38 @@ def cartan_matrix(ctype: CartanType) -> list[list[int]]:
     return mat
 
 
-def _reflect(coords: Coords, j: int, col: tuple[int, ...]) -> Coords:
-    """Image of a coordinate vector under the simple reflection s_j."""
-    pairing = sum(c * a for c, a in zip(coords, col))
-    out = list(coords)
-    out[j] -= pairing
-    return tuple(out)
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-d array as one void scalar of its bytes: keys are
+    equal exactly when rows are, and sort as the rows' bytes do."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
-def _close_positive_roots(ctype: CartanType, seeds: list[Coords]) -> set[Coords]:
-    """Saturate a seed set under all simple reflections, keeping the
-    all-nonnegative images.  Terminates because heights are bounded."""
-    mat = cartan_matrix(ctype)
-    cols = [tuple(mat[i][j] for i in range(ctype.rank)) for j in range(ctype.rank)]
-    found: set[Coords] = set(seeds)
-    frontier = list(seeds)
+def _reflections(roots: np.ndarray, cmat: np.ndarray) -> np.ndarray:
+    """images[j] = the rows of roots reflected in simple root j: coordinate
+    j less the pairing sum_i c_i cmat[i][j]."""
+    r = len(cmat)
+    images = np.repeat(roots[None], r, axis=0)
+    images[np.arange(r), :, np.arange(r)] -= (roots @ cmat).T
+    return images
+
+
+def _close_positive_roots(ctype: CartanType, seeds: np.ndarray) -> np.ndarray:
+    """Saturate seed rows under all simple reflections, one frontier at a
+    time, keeping the all-nonnegative images.  Terminates because heights
+    are bounded."""
+    cmat = np.array(cartan_matrix(ctype), dtype=np.int64)
+    found = frontier = seeds
     rounds = 0
-    while frontier:
+    while len(frontier):
         rounds += 1
         if rounds > 1000:
             raise NonTerminating(f"closure for {ctype} did not stabilize")
-        fresh: list[Coords] = []
-        for root in frontier:
-            for j in range(ctype.rank):
-                image = _reflect(root, j, cols[j])
-                if min(image) >= 0 and image not in found:
-                    found.add(image)
-                    fresh.append(image)
-        frontier = fresh
+        images = _reflections(frontier, cmat).reshape(-1, ctype.rank)
+        rows = np.concatenate([found, images[(images >= 0).all(axis=1)]])
+        _, first = np.unique(row_keys(rows), return_index=True)
+        frontier = rows[np.sort(first[first >= len(found)])]
+        found = np.concatenate([found, frontier])
     return found
 
 
@@ -205,7 +218,8 @@ class RootSystem:
     Derived tables are built on first use and kept: odd_index_array; for the
     classical types the ambient root table (ambient_vectors, ambient_index)
     that weyl converts windows through and root_atoms; and the transversal
-    chain that weyl.transversal_chain stores in _chain.
+    chain that weyl.transversal_chain stores in _chain, its elements row
+    views of the arrays it stacks into _chain_stack.
     """
 
     def __init__(self, ctype: CartanType, positive: list[Coords]):
@@ -214,33 +228,27 @@ class RootSystem:
         self.positive_roots: tuple[Coords, ...] = tuple(order)
         self.heights: tuple[int, ...] = tuple(sum(c) for c in order)
         self.odd_mask: tuple[bool, ...] = tuple(h % 2 == 1 for h in self.heights)
-        self.index_of: dict[Coords, int] = {c: k for k, c in enumerate(order)}
-        # lex order reverses the unit vectors, so simple root j is generally
-        # not at position j
-        self.simple_index: tuple[int, ...] = tuple(
-            self.index_of[tuple(int(i == j) for i in range(ctype.rank))]
-            for j in range(ctype.rank)
-        )
+        # the height-1 roots come first, and lex order reverses the unit
+        # vectors: simple root j is at position rank - 1 - j
+        self.simple_index: tuple[int, ...] = tuple(range(ctype.rank - 1, -1, -1))
         self._build_tables()
         self._chain: list | None = None
+        self._chain_stack = None  # a weyl.Stack once _chain is built
 
     def _build_tables(self) -> None:
-        r = self.ctype.rank
-        n = len(self.positive_roots)
-        mat = cartan_matrix(self.ctype)
-        cols = [tuple(mat[i][j] for i in range(r)) for j in range(r)]
-        tgt = np.empty((r, n), dtype=np.int16)
-        neg = np.empty((r, n), dtype=np.uint8)
-        for j in range(r):
-            for k, coords in enumerate(self.positive_roots):
-                image = _reflect(coords, j, cols[j])
-                if min(image) >= 0:
-                    tgt[j, k], neg[j, k] = self.index_of[image], 0
-                else:
-                    flipped = tuple(-c for c in image)
-                    tgt[j, k], neg[j, k] = self.index_of[flipped], 1
-        self._refl_tgt = tgt
-        self._refl_neg = neg
+        # every root reflected in every simple root at once; the images
+        # made positive are looked up by their bytes, exact at any rank
+        r, n = self.rank, self.size
+        roots = np.array(self.positive_roots, dtype=np.int64).reshape(n, r)
+        images = _reflections(roots, np.array(cartan_matrix(self.ctype)))
+        neg = (images < 0).any(axis=2)
+        images[neg] *= -1
+        # coordinates of a root are at most 6, so int8 keys hold them
+        keys = row_keys(roots.astype(np.int8))
+        order = np.argsort(keys)
+        at = np.searchsorted(keys[order], row_keys(images.reshape(-1, r).astype(np.int8)))
+        self._refl_tgt = order[at].reshape(r, n).astype(np.int16)
+        self._refl_neg = neg.astype(np.uint8)
 
     @property
     def rank(self) -> int:
@@ -259,7 +267,7 @@ class RootSystem:
     def ambient_vectors(self) -> np.ndarray:
         """Positive roots as the rows of an int64 matrix in Z^n, n the window
         size (classical types only)."""
-        simples = np.array(_ambient_simple_vectors(self.ctype), dtype=np.int64)
+        simples = _ambient_simple_vectors(self.ctype)
         return np.array(self.positive_roots, dtype=np.int64) @ simples
 
     @cached_property
@@ -290,13 +298,8 @@ class RootSystem:
 
     @property
     def reflection_tables(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return tuple(
-            tuple(
-                (int(t), -1 if f else 1)
-                for t, f in zip(self._refl_tgt[j], self._refl_neg[j])
-            )
-            for j in range(self.rank)
-        )
+        signs = (1 - 2 * self._refl_neg.astype(int)).tolist()
+        return tuple(tuple(zip(t, s)) for t, s in zip(self._refl_tgt.tolist(), signs))
 
     def simple_root_index(self, j: int) -> int:
         """Index of simple root j among the positive roots."""
@@ -308,23 +311,12 @@ class RootSystem:
         return f"RootSystem({self.ctype}, {self.size} positive roots)"
 
 
-def _ambient_simple_vectors(ctype: CartanType) -> list[tuple[int, ...]]:
-    """Simple roots of a classical type as integer vectors in Z^n, n the
-    window size, special node first."""
-    n = ctype.window_size
-    vecs = []
-    if ctype.family != "A":
-        first = [0] * n
-        if ctype.family == "D":
-            first[0] = first[1] = 1
-        else:
-            first[0] = 1 if ctype.family == "B" else 2
-        vecs.append(tuple(first))
-    for i in range(n - 1):
-        v = [0] * n
-        v[i], v[i + 1] = -1, 1
-        vecs.append(tuple(v))
-    return vecs
+def _ambient_simple_vectors(ctype: CartanType) -> np.ndarray:
+    """Simple roots of a classical type as the int64 rows of a matrix over
+    Z^n, n the window size, special node first."""
+    eye = np.eye(ctype.window_size, dtype=np.int64)
+    special = {"A": eye[:0], "B": eye[:1], "C": 2 * eye[:1], "D": eye[:1] + eye[1:2]}
+    return np.concatenate([special[ctype.family], eye[1:] - eye[:-1]])
 
 
 def build_root_system(ctype: CartanType) -> RootSystem:
@@ -341,9 +333,8 @@ def build_root_system(ctype: CartanType) -> RootSystem:
             f"{ctype} has {count} positive roots at rank {r}: roots x rank^2 ="
             f" {count * r * r:,}, past the {_MAX_BUILD:,} a root system build may take"
         )
-    simples: list[Coords] = [tuple(int(i == j) for i in range(r)) for j in range(r)]
-    positive = _close_positive_roots(ctype, simples)
-    system = RootSystem(ctype, sorted(positive))
+    positive = _close_positive_roots(ctype, np.eye(r, dtype=np.int64))
+    system = RootSystem(ctype, [tuple(c) for c in positive.tolist()])
     if system.size != count:
         raise NonTerminating(
             f"closure produced {system.size} roots for {ctype}, expected {count}"

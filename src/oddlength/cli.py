@@ -59,18 +59,10 @@ def _cmd_roots(args, parser) -> int:
     ct = _resolve_type(args, parser)
     rs = build_root_system(ct)
     if args.json:
-        payload = {
-            "type": str(ct),
-            "count": rs.size,
-            "positive_roots": [
-                {
-                    "coords": list(r),
-                    "height": rs.heights[k],
-                    "odd": bool(rs.odd_mask[k]),
-                }
-                for k, r in enumerate(rs.positive_roots)
-            ],
-        }
+        payload = {"type": str(ct), "count": rs.size, "positive_roots": [
+            {"coords": list(r), "height": rs.heights[k], "odd": bool(rs.odd_mask[k])}
+            for k, r in enumerate(rs.positive_roots)
+        ]}
         json.dump(payload, sys.stdout, separators=(",", ":"))
         print()
         return 0
@@ -91,11 +83,8 @@ def _cmd_stats(args, parser) -> int:
     cls = classify(sigma)
     if args.json:
         payload = {
-            "type": str(ct),
-            "window": list(sigma.window),
-            "stats": values,
-            "unimodal": cls.unimodal,
-            "chessboard": cls.chessboard,
+            "type": str(ct), "window": list(sigma.window), "stats": values,
+            "unimodal": cls.unimodal, "chessboard": cls.chessboard,
             "good_chessboard": cls.good_chessboard,
         }
         json.dump(payload, sys.stdout, separators=(",", ":"))

@@ -21,8 +21,11 @@ to (image(s, u), c + <neg_u, g_s>, sign_u v), sign_u = (-1)^parity_u for
 signed counts and 1 for unsigned ones.  Entries that meet are summed;
 entries that cancel to 0 are dropped, and the states they leave empty with
 them, so a signed E8 run keeps 2 states.  A part is one more such step,
-summed by code.  A level that would take more working memory than one cap,
-_MEMORY_BYTES, is refused with BudgetExceeded before it is folded.
+summed by code.  The levels come stacked (weyl.Stack): the chain's once per
+root system, by weyl.transversal_chain, a restricted domain's once per run.
+A level, a product or the part shifts that would take more working memory
+than one cap, _MEMORY_BYTES, is refused with BudgetExceeded before it is
+built.
 
 _Split, the kernel, is the second method of odd_length_gf_by_roots, which
 checks the fold.  With the levels after the first cut into prefix and
@@ -58,7 +61,7 @@ from math import prod
 
 import numpy as np
 
-from .cartan import CartanType, RootSystem, group_order, root_system
+from .cartan import CartanType, RootSystem, group_order, root_system, row_keys
 from .errors import (
     BudgetExceeded, CheckpointCorrupt, CheckpointUnwritable, OddLengthError, PartOutOfRange,
     UnsupportedProfile, WeightsTooLarge, WorkerFailure,
@@ -66,7 +69,8 @@ from .errors import (
 from .gf import GFResult, _domain_levels, _domain_shape, resolve_profile, root_weights
 from .poly import Poly
 from .weyl import (
-    WeylElement, check_budget, decimal_exponent, transversal_chain, window_to_element,
+    WeylElement, check_budget, decimal_exponent, stack_levels, transversal_chain,
+    window_to_element,
 )
 
 __all__ = ["odd_length_gf_by_roots", "run_partitioned", "Checkpoint"]
@@ -106,10 +110,13 @@ def _stacked(levels: Levels, columns: np.ndarray):
     return tgt, neg, parity
 
 
-def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _exact_product(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
     """a @ b for integer a and b, as int64, through float64 BLAS: numpy's
     integer products take ten times longer.  Exact while every partial sum
-    is an integer below 2^53; a fold's are codes, below K."""
+    is an integer below 2^53; a fold's are codes, below K.  BudgetExceeded
+    names what when a, b and a @ b as float64, and its int64 cast, would
+    pass _MEMORY_BYTES."""
+    _check_memory(what, a.size + b.size + 2 * a.shape[0] * b.shape[1], 8)
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
 
 
@@ -119,10 +126,7 @@ def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     their bytes, and table[first][inverse] is table."""
     if not table.shape[1]:  # every row is the empty row
         return np.zeros(1, dtype=np.intp), np.zeros(len(table), dtype=np.intp)
-    rowbytes = np.dtype((np.void, table.itemsize * table.shape[1]))
-    _, first, inverse = np.unique(
-        np.ascontiguousarray(table).view(rowbytes).ravel(), return_index=True, return_inverse=True
-    )
+    _, first, inverse = np.unique(row_keys(table), return_index=True, return_inverse=True)
     return first, inverse
 
 
@@ -154,24 +158,10 @@ class _Fold(_Parts):
         if weights is None:
             weights = np.array(system.odd_mask, dtype=np.int64)
         chain = levels or transversal_chain(system)
-        n, k = system.size, int(weights.sum()) + 1
-        dtype = np.min_scalar_type(-int(weights.max()))
-        # every level stacked, level j in rows ends[j]:ends[j + 1]; src_u is
-        # tgt_u^-1, so that g_{u v}(c) = sign_u(c) g_v(src_u(c))
-        flat = [u for level in chain for u in level]
-        ends = np.cumsum([0] + [len(level) for level in chain])
-        tgt, neg = np.stack([u.tgt for u in flat]).astype(np.intp), np.stack([u.neg for u in flat])
-        every, src = np.arange(len(flat))[:, None], np.empty_like(tgt)
-        src[every, tgt] = np.arange(n)
-        sign = 1 - 2 * neg[every, src].astype(dtype)
-        parity = np.array([u.parity for u in flat], dtype=np.int64)
-        signs = np.ones_like(parity) if unsigned else 1 - 2 * parity
-        # cols[j]: the roots levels 0..j-1 read, u reading supp(neg_u) and
-        # tgt_u^-1 of what the levels before it read; a state needs no other
-        read = [np.zeros(n, dtype=bool)]
-        for lo, hi in zip(ends[:-1], ends[1:]):
-            read.append(neg[lo:hi].any(axis=0) | read[-1][tgt[lo:hi]].any(axis=0))
-        cols = [np.flatnonzero(r) for r in read]
+        st = system._chain_stack if levels is None else stack_levels(levels)
+        ends, cols, neg, src, sign = st.ends, st.cols, st.neg, st.src, st.sign
+        k, dtype = int(weights.sum()) + 1, np.min_scalar_type(-int(weights.max()))
+        signs = np.ones_like(st.parity) if unsigned else 1 - 2 * st.parity
         # one entry, the empty product's: code 0, value 1
         states = weights[cols[-1]].astype(dtype)[None, :]
         state, code, value = np.zeros(1, np.intp), np.zeros(1, np.int64), np.ones(1, np.int64)
@@ -181,7 +171,7 @@ class _Fold(_Parts):
             what = f"folding {system.ctype} at one level"
             _check_memory(what, len(states), hi - lo, 4 * len(keep) * states.itemsize)
             _check_memory(what, len(value), hi - lo, 64)
-            shift = _exact_product(states, neg[lo:hi, have].T)
+            shift = _exact_product(states, neg[lo:hi, have].T, what)
             at = np.searchsorted(have, src[lo:hi, keep])
             images = (states[:, at] * sign[lo:hi, keep]).reshape(len(states) * (hi - lo), len(keep))
             first, inverse = _distinct_rows(images)
@@ -193,7 +183,8 @@ class _Fold(_Parts):
             key, value = key[total != 0], total[total != 0]
             live, state = np.unique(key // k, return_inverse=True)
             states, code = images[first[live]], key % k
-        shifts = _exact_product(neg[:ends[1], cols[1]], states.T)
+        what = f"the part shifts of {system.ctype}"
+        shifts = _exact_product(neg[:ends[1], cols[1]], states.T, what)
         return cls(chain[0], k, states, state, code, value, shifts, signs[:ends[1]])
 
     def part_coeffs(self, part_index: int) -> np.ndarray:
@@ -384,6 +375,14 @@ class Checkpoint:
                 f"checkpoint {path} holds no polynomial in {', '.join(ck.partial.vars)}"
             )
         ck.done, ck.partial = set(done), partial
+        # a whole signed series vanishes with every variable at 1, and odd
+        # length counts at most the N_odd odd-height roots
+        n_odd = sum(root_system(ctype).odd_mask) if profile == "odd-length" else None
+        if len(ck.done) == n_parts and (
+            sum(partial.terms.values()) or n_odd is not None and partial.total_degree() > n_odd
+        ):
+            raise CheckpointCorrupt(f"checkpoint {path} marks every part done, but holds"
+                                    f" no signed {profile} series of {ctype}")
         return ck
 
 
@@ -452,8 +451,9 @@ def run_partitioned(
     """
     start = time.perf_counter()
     resolved = resolve_profile(profile, ctype)
+    order = group_order(ctype)  # refused on a logarithm when far too large
     shape = _domain_shape(restriction, ctype)
-    size = group_order(ctype) if shape is None else prod(shape)
+    size = order if shape is None else prod(shape)
     if not allow_large:
         check_budget(ctype, restriction, size)
     if size >= _EXACT_ELEMENTS:

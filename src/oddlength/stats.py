@@ -64,18 +64,6 @@ class StatisticId(str, enum.Enum):
     L_oe = "L_oe"
 
 
-ATOMIC: tuple[StatisticId, ...] = (
-    StatisticId.inv,
-    StatisticId.oinv,
-    StatisticId.einv,
-    StatisticId.neg,
-    StatisticId.oneg,
-    StatisticId.eneg,
-    StatisticId.nsp,
-    StatisticId.onsp,
-    StatisticId.ensp,
-)
-
 # composite statistics as sums of atomic ones
 COMPOSITE: dict[StatisticId, tuple[StatisticId, ...]] = {
     StatisticId.len_A: (StatisticId.inv,),

@@ -10,16 +10,20 @@ permutation matrix acting on Z^n.  window_to_element applies that matrix to
 the ambient root table RootSystem.ambient_vectors and looks the rows up in
 RootSystem.ambient_index; element_to_window solves for it from the images of
 the simple roots.
+
+transversal_chain builds the parabolic chain once per root system as an
+array search on length (Deodhar's lemma) and stacks its levels into one
+Stack, which the engine's fold reads; the chain's elements are its rows.
 """
 
 from __future__ import annotations
 
-import itertools
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cartan import CartanType, RootSystem, group_order
+from .cartan import CartanType, RootSystem, group_order, row_keys
 from .errors import (
     BudgetExceeded, IndexOutOfRange, InvalidWindow, SystemMismatch, TypeMismatch,
 )
@@ -198,36 +202,85 @@ def _sift(w: WeylElement, j_limit: int, longest: bool = False) -> WeylElement:
             return w
 
 
+@dataclass(frozen=True)
+class Stack:
+    """Levels of elements stacked row by row, level j in rows ends[j]:ends[j
+    + 1], with what a fold reads of them: src is tgt^-1 row by row, so that
+    u sends root src(c) to sign(c) c with sign = 1 - 2 neg[src], and cols[j]
+    lists the roots that levels 0..j-1 read, u reading supp(neg_u) and
+    tgt_u^-1 of what the levels before it read."""
+    tgt: np.ndarray                   # rows x roots, int16
+    neg: np.ndarray                   # rows x roots, uint8
+    parity: np.ndarray                # per row, int64
+    ends: np.ndarray
+    src: np.ndarray                   # rows x roots, int16
+    sign: np.ndarray                  # rows x roots, int8
+    cols: list[np.ndarray]
+
+
+def _stack(tgt: np.ndarray, neg: np.ndarray, sizes: list[int]) -> Stack:
+    """Stack of rows tgt and neg, cut into levels of the given sizes."""
+    n = tgt.shape[1]
+    ends = np.cumsum([0] + sizes)
+    every, src = np.arange(len(tgt))[:, None], np.empty_like(tgt)
+    src[every, tgt] = np.arange(n)
+    read = [np.zeros(n, dtype=bool)]
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        read.append(neg[lo:hi].any(axis=0) | read[-1][tgt[lo:hi]].any(axis=0))
+    parity = neg.sum(axis=1, dtype=np.int64) & 1
+    sign = 1 - 2 * neg[every, src].astype(np.int8)
+    return Stack(tgt, neg, parity, ends, src, sign, [np.flatnonzero(r) for r in read])
+
+
+def stack_levels(levels: list[list[WeylElement]]) -> Stack:
+    """Stack of levels of elements, such as a restricted domain's windows."""
+    flat = [u for level in levels for u in level]
+    sizes = [len(level) for level in levels]
+    return _stack(np.stack([u.tgt for u in flat]), np.stack([u.neg for u in flat]), sizes)
+
+
+def _coset_level(system: RootSystem, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal representatives of <s_0..s_{m-2}> in <s_0..s_{m-1}> as (tgt,
+    neg) rows, by length and then by key: a breadth-first search on length.
+    Each step applies every generator s to the whole frontier in one
+    gather, (s u)(a) = s(u(a)), and keeps s u when it is one longer than u
+    and sends no simple root of <s_0..s_{m-2}> negative: by Deodhar's lemma
+    those are the representatives one longer, each reached from some u."""
+    n, r = system.size, system.rank
+    gtgt, gneg = system._refl_tgt[:m], system._refl_neg[:m]
+    inner = list(system.simple_index[:m - 1])
+    tgt, neg = np.arange(n, dtype=np.int16)[None], np.zeros((1, n), dtype=np.uint8)
+    found = [(tgt, neg)]
+    while len(tgt) and len(found) <= n:  # no element is longer than n
+        tgt, neg = gtgt[:, tgt].reshape(-1, n), (gneg[:, tgt] ^ neg).reshape(-1, n)
+        keep = (neg.sum(axis=1) == len(found)) & ~neg[:, inner].any(axis=1)
+        tgt, neg = tgt[keep], neg[keep]
+        if len(tgt) > 1:  # WeylElement.key of every row; np.unique sorts them as bytes
+            keys = (tgt[:, :r].astype(np.int32) + 1) * (1 - 2 * neg[:, :r].astype(np.int32))
+            first = np.unique(row_keys(keys), return_index=True)[1]
+            tgt, neg = tgt[first], neg[first]
+        found.append((tgt, neg))
+    return np.concatenate([t for t, _ in found]), np.concatenate([g for _, g in found])
+
+
 def transversal_chain(system: RootSystem) -> list[list[WeylElement]]:
     """Minimal coset representatives along the parabolic chain that drops the
     highest-numbered simple generator first.
 
     Level k lists the representatives of <s_0..s_{r-2-k}> inside
-    <s_0..s_{r-1-k}>; every group element is the product of one representative
-    per level, taken left to right, exactly once.
+    <s_0..s_{r-1-k}>, by length and then by key; every group element is the
+    product of one representative per level, taken left to right, exactly
+    once.  Built once per system: the levels are stacked into
+    system._chain_stack, and their elements are row views of it.
     """
     if system._chain is None:
-        r = system.rank
-        chain: list[list[WeylElement]] = []
-        for k in range(r):
-            gens = [simple_reflection(system, i) for i in range(r - k)]
-            j_limit = r - k - 1
-            start = identity(system)
-            reps = {start.key(): start}
-            frontier = [start]
-            while frontier:
-                fresh = []
-                for u in frontier:
-                    for s in gens:
-                        v = _sift(multiply(s, u), j_limit)
-                        key = v.key()
-                        if key not in reps:
-                            reps[key] = v
-                            fresh.append(v)
-                frontier = fresh
-            level = sorted(reps.values(), key=lambda u: (length_by_roots(u), u.key()))
-            chain.append(level)
-        system._chain = chain
+        levels = [_coset_level(system, system.rank - k) for k in range(system.rank)]
+        tgt, neg = (np.concatenate(rows) for rows in zip(*levels))
+        st = system._chain_stack = _stack(tgt, neg, [len(t) for t, _ in levels])
+        system._chain = [
+            [WeylElement(system, st.tgt[i], st.neg[i], int(st.parity[i])) for i in range(lo, hi)]
+            for lo, hi in zip(st.ends[:-1], st.ends[1:])
+        ]
     return system._chain
 
 
@@ -269,7 +322,8 @@ class ConjugatedRootSystem(RootSystem):
         ambient = [conjugator.image(k) for k in range(base.size)]
         # coordinates of every image over the images of the simple roots,
         # solved in floats, rounded, then checked exactly in integers
-        images = np.array([self._ambient_coords(img) for img in ambient], dtype=np.int64)
+        signs = 1 - 2 * conjugator.neg.astype(np.int64)
+        images = np.array(base.positive_roots, dtype=np.int64)[conjugator.tgt] * signs[:, None]
         basis = images[list(base.simple_index)]
         solved = np.rint(np.linalg.solve(basis.T, images.T).T).astype(np.int64)
         if (solved @ basis != images).any():
@@ -278,33 +332,24 @@ class ConjugatedRootSystem(RootSystem):
         order = sorted(range(base.size), key=lambda k: (sum(coords[k]), coords[k]))
         super().__init__(base.ctype, [coords[k] for k in order])
         self.ambient: tuple[tuple[int, int], ...] = tuple(ambient[k] for k in order)
+        self._at, self._sign = np.array(self.ambient).reshape(-1, 2).T
         # sign with which each base root appears in the new positive system
-        self._pos_sign = {idx: sign for idx, sign in self.ambient}
-
-    def _ambient_coords(self, signed: tuple[int, int]) -> tuple[int, ...]:
-        idx, sign = signed
-        return tuple(sign * c for c in self.base.positive_roots[idx])
+        self._base_sign = np.empty(base.size, dtype=np.int64)
+        self._base_sign[self._at] = self._sign
 
     def length_of(self, w: WeylElement) -> int:
         """Coxeter length of a base-system element relative to this system."""
-        if w.system is not self.base:
-            raise SystemMismatch("element does not belong to the base system")
-        return self._flips(w, odd_only=False)
+        return int(self._flipped(w).sum())
 
     def odd_length_of(self, w: WeylElement) -> int:
+        return int(self._flipped(w)[self.odd_index_array].sum())
+
+    def _flipped(self, w: WeylElement) -> np.ndarray:
+        """Per new positive root: True where w sends it to a new negative root."""
         if w.system is not self.base:
             raise SystemMismatch("element does not belong to the base system")
-        return self._flips(w, odd_only=True)
-
-    def _flips(self, w: WeylElement, odd_only: bool) -> int:
-        count = 0
-        for k, (idx, sign) in enumerate(self.ambient):
-            if odd_only and not self.odd_mask[k]:
-                continue
-            t, s = w.image(idx)
-            if sign * s != self._pos_sign[t]:
-                count += 1
-        return count
+        sign = self._sign * (1 - 2 * w.neg[self._at].astype(np.int64))
+        return sign != self._base_sign[w.tgt[self._at]]
 
 
 def conjugate_simple_system(system: RootSystem, w: WeylElement) -> ConjugatedRootSystem:
@@ -312,21 +357,3 @@ def conjugate_simple_system(system: RootSystem, w: WeylElement) -> ConjugatedRoo
     if w.system is not system:
         raise SystemMismatch("conjugator does not belong to the given system")
     return ConjugatedRootSystem(system, w)
-
-
-# ---------------------------------------------------------------------------
-# window iterators for the classical groups
-
-def iter_group_windows(ctype: CartanType) -> Iterator[tuple[int, ...]]:
-    """All windows of the classical group of ctype, plain S_n order inside
-    each sign pattern."""
-    n = _window_size(ctype)
-    fam = ctype.family
-    if fam == "A":
-        yield from itertools.permutations(range(1, n + 1))
-        return
-    for signs in itertools.product((1, -1), repeat=n):
-        if fam == "D" and signs.count(-1) % 2:
-            continue
-        for p in itertools.permutations(range(1, n + 1)):
-            yield tuple(s * v for s, v in zip(p, signs))

@@ -38,13 +38,13 @@ from oddlength.weyl import (
     ConjugatedRootSystem,
     element_to_window,
     enumerate_group,
-    iter_group_windows,
     length_by_roots,
     multiply,
     odd_length_by_roots,
     simple_reflection,
     window_to_element,
 )
+from oracle import iter_group_windows
 
 X = ("x",)
 XY = ("x", "y")

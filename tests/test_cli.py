@@ -217,6 +217,38 @@ def test_gf_fold_past_its_memory_cap_exits_3(capsys, monkeypatch):
     assert err.startswith("error: folding D6 at one level takes ") and err.count("\n") == 1
 
 
+def test_gf_part_shifts_past_the_memory_cap_exit_3(capsys, monkeypatch):
+    # the levels of D6 D-bivar chessboard pass a 12,000-byte cap, its part
+    # shifts do not
+    monkeypatch.setattr(engine, "_MEMORY_BYTES", 12_000)
+    code, out, err = run(capsys, "gf", "--type", "D6", "--profile", "D-bivar",
+                         "--restrict", "chessboard", "--json")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: the part shifts of D6 takes ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["A3000000", "A99999999999999999999"])
+def test_orders_far_past_the_budget_refused_before_any_factorial(capsys, name):
+    # 3,000,001! takes seconds to build, and math.factorial refuses the
+    # second rank outright; both are refused on a logarithm
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gf", "--type", name)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {name} has about 10^") and err.count("\n") == 1
+
+
+def test_gf_done_resume_with_no_signed_series_exit_3(capsys, tmp_path):
+    f4_parts = 24
+    ck = engine.Checkpoint(F4, "odd-length", f4_parts)
+    ck.done, ck.partial = set(range(f4_parts)), Poly(("x",), {(0,): 1})
+    path = str(tmp_path / "f4.ckpt")
+    ck.write(path)
+    code, out, err = run(capsys, "gf", "--type", "F4", "--checkpoint", path, "--resume")
+    assert (code, out) == (3, "")
+    assert "marks every part done" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("gf", "--type", "B1424"), ("gf", "--type", "B1424", "--allow-large"),
     ("verify", "--type", "B2000"),

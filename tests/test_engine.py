@@ -11,8 +11,8 @@ from math import prod
 import numpy as np
 import pytest
 
-from oddlength import engine
-from oddlength.cartan import CartanType, group_order, root_system
+from oddlength import engine, weyl
+from oddlength.cartan import CartanType, build_root_system, group_order, root_system
 from oddlength.engine import Checkpoint, odd_length_gf_by_roots, run_partitioned
 from oddlength.errors import (
     BudgetExceeded,
@@ -590,6 +590,65 @@ def test_fold_refuses_a_level_past_its_memory_cap(monkeypatch):
     monkeypatch.setattr(engine, "_MEMORY_BYTES", 1 << 12)
     with pytest.raises(BudgetExceeded, match="at one level"):
         run_partitioned(CartanType.parse("B6"))
+
+
+def test_fold_refuses_part_shifts_past_its_memory_cap(monkeypatch):
+    # D6 D-bivar chessboard: every level and its product stay under 12,000
+    # bytes (10,272 at most), the part shifts and their float64 copies take
+    # 61,824
+    d6 = CartanType.parse("D6")
+    monkeypatch.setattr(engine, "_MEMORY_BYTES", 12_000)
+    with pytest.raises(BudgetExceeded, match="the part shifts of D6 takes 7728 x 8 bytes"):
+        run_partitioned(d6, "D-bivar", "chessboard")
+    monkeypatch.setattr(engine, "_MEMORY_BYTES", 7728 * 8)
+    under = run_partitioned(d6, "D-bivar", "chessboard").poly.dumps()
+    monkeypatch.undo()
+    assert under == run_partitioned(d6, "D-bivar", "chessboard").poly.dumps()
+
+
+def test_fold_reads_the_chain_stacked_once(monkeypatch):
+    sizes = []
+    real = weyl._stack
+
+    def counted(tgt, neg, level_sizes):
+        sizes.append(list(level_sizes))
+        return real(tgt, neg, level_sizes)
+
+    monkeypatch.setattr(weyl, "_stack", counted)
+    system = build_root_system(F4)  # uncached: no chain yet
+    first, again = engine._Fold.build(system), engine._Fold.build(system)
+    assert sizes == [[24, 8, 3, 2]]
+    assert first.part_coeffs(5).tolist() == again.part_coeffs(5).tolist()
+    # a restricted run stacks its own levels, once
+    run_partitioned(CartanType.parse("A5"), restriction="chessboard")
+    assert sizes == [[24, 8, 3, 2], [2, 6, 6]]
+
+
+def _done_checkpoint(path, terms):
+    """A checkpoint of E6 odd length marking every part done, holding terms."""
+    n_parts = len(transversal_chain(root_system(E6))[0])
+    ck = Checkpoint(E6, "odd-length", n_parts)
+    ck.done, ck.partial = set(range(n_parts)), Poly(("x",), terms)
+    ck.write(str(path))
+
+
+@pytest.mark.parametrize("terms", [
+    {(0,): 1},                   # not 0 at x = 1
+    {(0,): 1, (21,): -1},        # degree 21, past E6's 20 odd-height roots
+], ids=["at-1", "degree"])
+def test_done_resume_checks_its_series(tmp_path, terms):
+    path = tmp_path / "e6.ckpt"
+    _done_checkpoint(path, terms)
+    with pytest.raises(CheckpointCorrupt, match="marks every part done"):
+        run_partitioned(E6, checkpoint_path=str(path), resume=True)
+
+
+def test_done_resume_of_a_true_series_prints_it(tmp_path):
+    path = tmp_path / "e6.ckpt"
+    full = signed_gf(E6).poly
+    _done_checkpoint(path, full.terms)
+    assert full.total_degree() <= sum(root_system(E6).odd_mask) == 20
+    assert run_partitioned(E6, checkpoint_path=str(path), resume=True).poly == full
 
 
 def _no_stacking(monkeypatch):

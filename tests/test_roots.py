@@ -1,5 +1,6 @@
 """Root system construction: counts, heights, reflection tables."""
 
+import numpy as np
 import pytest
 
 from oddlength.cartan import (
@@ -11,6 +12,7 @@ from oddlength.cartan import (
     root_system,
 )
 from oddlength.errors import InvalidRank, Overflow
+import oracle
 
 
 def test_parse_and_str():
@@ -197,3 +199,26 @@ def test_root_systems_past_int16_indices_refused(name):
     # refused before the closure, which would run for minutes
     with pytest.raises(Overflow, match="32767"):
         build_root_system(CartanType.parse(name))
+
+
+@pytest.mark.parametrize("name", oracle.UP_TO_RANK_8)
+def test_roots_and_tables_equal_the_loop_oracle(name):
+    ct = CartanType.parse(name)
+    rs = build_root_system(ct)
+    assert set(rs.positive_roots) == oracle.positive_roots(ct)
+    tgt, neg = oracle.reflection_tables(rs)
+    assert rs._refl_tgt.dtype == tgt.dtype and rs._refl_neg.dtype == neg.dtype
+    assert (rs._refl_tgt == tgt).all() and (rs._refl_neg == neg).all()
+
+
+def test_tables_are_exact_at_the_largest_admitted_a():
+    # A65, 2,145 roots x 65^2, is just under the build budget; a mixed-radix
+    # int64 code of its 65 0/1 coordinates would need 2^65 and wrap
+    rs = build_root_system(CartanType.parse("A65"))
+    roots = np.array(rs.positive_roots, dtype=np.int64)
+    cmat = np.array(cartan_matrix(rs.ctype))
+    for j in range(rs.rank):
+        image = roots.copy()
+        image[:, j] -= roots @ cmat[:, j]
+        signs = 1 - 2 * rs._refl_neg[j].astype(np.int64)
+        assert (roots[rs._refl_tgt[j]] * signs[:, None] == image).all(), j

@@ -29,7 +29,7 @@ from oddlength.stats import (
     peak_involution,
     star_involution,
 )
-from oddlength.weyl import iter_group_windows
+from oracle import iter_group_windows
 
 
 def signed_windows(n):

@@ -93,3 +93,18 @@ def test_second_method_runs_the_kernel_and_signed_gf_the_fold(monkeypatch):
         patch.setattr(engine._Split, "build", refuse)
         folded = oddlength.signed_gf(c4).poly
     assert by_roots == folded
+
+
+def test_root_system_and_chain_build_multiply_no_elements(monkeypatch):
+    # the tables and the chain are array searches; a slide back to a loop
+    # over elements would call these once per element
+    from oddlength import weyl
+    from oddlength.cartan import CartanType, build_root_system
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the chain element by element")
+
+    monkeypatch.setattr(weyl, "multiply", refuse)
+    monkeypatch.setattr(weyl, "_sift", refuse)
+    chain = weyl.transversal_chain(build_root_system(CartanType.parse("E8")))
+    assert [len(level) for level in chain] == [240, 56, 27, 16, 10, 3, 2, 2]

@@ -4,9 +4,10 @@ isomorphisms."""
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from oddlength.cartan import CartanType, root_system
+from oddlength.cartan import CartanType, build_root_system, root_system
 from oddlength.errors import BudgetExceeded, InvalidWindow, SystemMismatch, TypeMismatch
 from oddlength.weyl import (
     ConjugatedRootSystem,
@@ -16,7 +17,6 @@ from oddlength.weyl import (
     element_to_window,
     enumerate_group,
     identity,
-    iter_group_windows,
     length_by_roots,
     multiply,
     odd_length_by_roots,
@@ -24,6 +24,8 @@ from oddlength.weyl import (
     transversal_chain,
     window_to_element,
 )
+import oracle
+from oracle import iter_group_windows
 
 
 def test_identity_fixes_everything():
@@ -108,6 +110,31 @@ def test_transversal_chain_level_sizes():
     rs = root_system(CartanType.parse("D4"))
     chain = transversal_chain(rs)
     assert [len(level) for level in chain] == [8, 6, 2, 2]
+
+
+@pytest.mark.parametrize("name", oracle.UP_TO_RANK_8)
+def test_chain_equals_the_sifting_oracle(name):
+    rs = build_root_system(CartanType.parse(name))
+    chain, expected = transversal_chain(rs), oracle.transversal_chain(rs)
+    assert [[u.key() for u in level] for level in chain] == [
+        [u.key() for u in level] for level in expected
+    ]
+    for level, want in zip(chain, expected):
+        for field in ("tgt", "neg", "parity"):
+            got = np.array([getattr(u, field) for u in level])
+            assert (got == np.array([getattr(u, field) for u in want])).all(), field
+
+
+def test_chain_elements_are_rows_of_its_stack():
+    rs = build_root_system(CartanType.parse("F4"))
+    chain = transversal_chain(rs)
+    stack = rs._chain_stack
+    assert stack.ends.tolist() == [0, 24, 32, 35, 37]
+    rows = [u for level in chain for u in level]
+    assert all(np.shares_memory(u.tgt, stack.tgt) for u in rows)
+    assert all(np.shares_memory(u.neg, stack.neg) for u in rows)
+    assert [u.parity for u in rows] == stack.parity.tolist()
+    assert transversal_chain(rs) is chain
 
 
 def test_longest_element_flips_everything():
